@@ -5,6 +5,8 @@ mode.  Lower bounds are strict: the maximal definable proper subsets,
 found by covering the granule's complement with unions of (complemented)
 attribute extents and keeping the inclusion-minimal achievable unions.
 Each returned granule comes with a description that evaluates back to it.
+The modes, their tables and closures come from the table of modes in
+``definability``.
 """
 
 from __future__ import annotations
@@ -14,46 +16,27 @@ from enum import Enum
 from collections.abc import Iterable
 
 from granudesc import _kernel
-from granudesc._bits import is_subset, mask_of, set_of
+from granudesc._bits import bits, is_subset, mask_of, set_of
 from granudesc.context import (
     CompoundContext,
-    Flavor,
     FormalContext,
     ObjectSet,
 )
-from granudesc.derivation import (
-    cn_extent,
-    cn_intent,
-    compound_extent,
-    compound_intent,
-    extent,
-    intent,
-    necessity,
-    object_mask,
-    possibility,
+from granudesc.derivation import _possibility
+from granudesc.definability import (
+    Mode,
+    Reason,
+    _closure,
+    _enter,
+    _self_check,
 )
-from granudesc.definability import Reason
-from granudesc.errors import FlavorMismatch, Inapplicable
-from granudesc.formula import (
-    Description,
-    conj_disj,
-    conj_of,
-    disj_of,
-    evaluate,
-    three_way_conj,
-)
+from granudesc.errors import Inapplicable
+from granudesc.formula import Description
 
 
 class Direction(Enum):
     UPPER = "upper"
     LOWER = "lower"
-
-
-class Mode(Enum):
-    WEDGE = "wedge"
-    THREE_WAY = "three_way"
-    VEE = "vee"
-    CN = "cn"
 
 
 @dataclass(frozen=True)
@@ -97,49 +80,62 @@ def enumerate_minimal_covers(
     return results
 
 
-def _check_eval(
-    ctx: FormalContext | CompoundContext, granule: ObjectSet, d: Description
-) -> None:
-    got = evaluate(ctx, d)
-    if got != granule:
-        raise AssertionError(
-            f"description {d!r} evaluates to {sorted(got)}, not {sorted(granule)}"
-        )
-
-
 def _sorted_granules(
-    items: list[tuple[ObjectSet, Description | None]]
+    items: list[tuple[int, Description | None]]
 ) -> tuple[tuple[ObjectSet, Description | None], ...]:
-    return tuple(sorted(items, key=lambda g: (len(g[0]), tuple(sorted(g[0])))))
+    items.sort(key=lambda g: (bin(g[0]).count("1"), tuple(bits(g[0]))))
+    return tuple((set_of(g), d) for g, d in items)
 
 
 # ---------------------------------------------------------------------------
-# conjunctive mode
+# bounds read off the closure of the granule
 # ---------------------------------------------------------------------------
+
+
+def _upper(
+    mode: Mode, ctx: FormalContext | CompoundContext, objects: Iterable[int], op: str
+) -> Approximation:
+    """Least definable superset in a closure mode: the granule's closure."""
+    rule, x, attrs, closure = _closure(mode, ctx, objects, op)
+    d = _self_check(ctx, closure, rule.build(ctx, attrs))
+    return Approximation(Direction.UPPER, mode, ((set_of(closure), d),), closure == x)
 
 
 def upper_wedge(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
     """Least conjunctively definable superset: the closure of the granule."""
-    x = frozenset(objects)
-    shared = intent(ctx, x)
-    if not shared:
-        raise Inapplicable(Reason.EMPTY_INTENT, "the granule shares no attribute")
-    closure = extent(ctx, shared)
-    d = conj_of(ctx, shared)
-    _check_eval(ctx, closure, d)
-    return Approximation(Direction.UPPER, Mode.WEDGE, ((closure, d),), closure == x)
+    return _upper(Mode.WEDGE, ctx, objects, "upper_wedge")
 
 
-def _lower_by_covers(
-    n_objects: int,
-    x: frozenset[int],
-    columns: list[int],
-    build,
-    ctx,
-    mode: Mode,
-    exact: bool,
+def upper_three_way(cctx: CompoundContext, objects: Iterable[int]) -> Approximation:
+    """Closure over the attribute-and-complement compound."""
+    return _upper(Mode.THREE_WAY, cctx, objects, "upper_three_way")
+
+
+def upper_cn(cctx: CompoundContext, objects: Iterable[int]) -> Approximation:
+    """Least two-part definable superset: the two-part closure."""
+    return _upper(Mode.CN, cctx, objects, "upper_cn")
+
+
+def lower_vee(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
+    """Greatest disjunctively definable subset; unique, possibly empty."""
+    try:
+        rule, x, inside, granule = _closure(Mode.VEE, ctx, objects, "lower_vee")
+    except Inapplicable:
+        # no attribute extent fits inside: the bound is the empty granule
+        return Approximation(Direction.LOWER, Mode.VEE, ((frozenset(), None),), False)
+    d = _self_check(ctx, granule, rule.build(ctx, inside))
+    return Approximation(Direction.LOWER, Mode.VEE, ((set_of(granule), d),), granule == x)
+
+
+# ---------------------------------------------------------------------------
+# bounds found by a cover search
+# ---------------------------------------------------------------------------
+
+
+def _lower(
+    mode: Mode, ctx: FormalContext | CompoundContext, objects: Iterable[int], op: str
 ) -> Approximation:
-    """Shared machinery for strict conjunctive lower bounds.
+    """Maximal definable proper subsets in a conjunctive mode.
 
     Complement extents that meet the complement of the granule are the
     natural cover candidates; candidates disjoint from it are still
@@ -148,160 +144,55 @@ def _lower_by_covers(
     The reported attribute set sticks to the meeting candidates whenever
     they generate the union.
     """
-    full = (1 << n_objects) - 1
-    xm = mask_of(x)
-    target = full & ~xm
-    comp = [(j, full & ~col) for j, col in enumerate(columns)]
+    rule, t, x = _enter(mode, ctx, objects, op)
+    full = t.full_object_mask
+    if x == full:
+        raise ValueError(f"{op} needs a proper subset of the objects")
+    attrs = rule.derive(t, x)
+    exact = bool(attrs) and rule.close(t, attrs) == x
+    target = full & ~x
+    comp = [(j, full & ~col) for j, col in enumerate(t.column_masks)]
     pool = [(j, c) for j, c in comp if c]
     unions = _kernel.minimal_cover_unions([c for _, c in pool], target, strict=True)
-    granules: list[tuple[ObjectSet, Description | None]] = []
+    granules: list[tuple[int, Description | None]] = []
     for y in unions:
-        meeting = [j for j, c in pool if is_subset(c, y) and c & target]
+        inside = [(j, c) for j, c in pool if is_subset(c, y)]
+        meeting = [(j, c) for j, c in inside if c & target]
         covered = 0
-        for j in meeting:
-            covered |= comp[j][1]
-        attrs = meeting if covered == y else [j for j, c in pool if is_subset(c, y)]
-        granule = set_of(full & ~y)
-        d = build(attrs)
-        _check_eval(ctx, granule, d)
-        granules.append((granule, d))
+        for _, c in meeting:
+            covered |= c
+        chosen = meeting if covered == y else inside
+        granule = full & ~y
+        d = rule.build(ctx, mask_of(j for j, _ in chosen))
+        granules.append((granule, _self_check(ctx, granule, d)))
     return Approximation(Direction.LOWER, mode, _sorted_granules(granules), exact)
 
 
 def lower_wedge(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
     """Maximal conjunctively definable proper subsets of the granule."""
-    x = frozenset(objects)
-    object_mask(ctx, x)
-    if len(x) == ctx.n_objects:
-        raise ValueError("lower_wedge needs a proper subset of the objects")
-    shared = intent(ctx, x)
-    exact = bool(shared) and extent(ctx, shared) == x
-    return _lower_by_covers(
-        ctx.n_objects,
-        x,
-        list(ctx.column_masks),
-        lambda attrs: conj_of(ctx, attrs),
-        ctx,
-        Mode.WEDGE,
-        exact,
-    )
-
-
-# ---------------------------------------------------------------------------
-# three-way mode
-# ---------------------------------------------------------------------------
-
-
-def upper_three_way(cctx: CompoundContext, objects: Iterable[int]) -> Approximation:
-    """Closure over the attribute-and-complement compound."""
-    if cctx.flavor is not Flavor.THREE_WAY:
-        raise FlavorMismatch("upper_three_way needs a three_way compound")
-    x = frozenset(objects)
-    shared = compound_intent(cctx, x)
-    if not shared:
-        raise Inapplicable(Reason.EMPTY_INTENT, "the granule shares no attribute")
-    closure = compound_extent(cctx, shared)
-    d = three_way_conj(cctx, shared)
-    _check_eval(cctx, closure, d)
-    return Approximation(
-        Direction.UPPER, Mode.THREE_WAY, ((closure, d),), closure == x
-    )
+    return _lower(Mode.WEDGE, ctx, objects, "lower_wedge")
 
 
 def lower_three_way(cctx: CompoundContext, objects: Iterable[int]) -> Approximation:
     """Maximal three-way definable proper subsets of the granule."""
-    if cctx.flavor is not Flavor.THREE_WAY:
-        raise FlavorMismatch("lower_three_way needs a three_way compound")
-    x = frozenset(objects)
-    object_mask(cctx, x)
-    if len(x) == cctx.n_objects:
-        raise ValueError("lower_three_way needs a proper subset of the objects")
-    flat = cctx.flattened
-    shared = compound_intent(cctx, x)
-    exact = bool(shared) and compound_extent(cctx, shared) == x
-    return _lower_by_covers(
-        cctx.n_objects,
-        x,
-        list(flat.column_masks),
-        lambda attrs: three_way_conj(cctx, attrs),
-        cctx,
-        Mode.THREE_WAY,
-        exact,
-    )
-
-
-# ---------------------------------------------------------------------------
-# disjunctive mode
-# ---------------------------------------------------------------------------
-
-
-def lower_vee(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
-    """Greatest disjunctively definable subset; unique, possibly empty."""
-    x = frozenset(objects)
-    inside = necessity(ctx, x)
-    granule = possibility(ctx, inside)
-    full_inside = necessity(ctx, granule)
-    d = disj_of(ctx, full_inside) if full_inside else None
-    if d is not None:
-        _check_eval(ctx, granule, d)
-    exact = granule == x and d is not None
-    return Approximation(Direction.LOWER, Mode.VEE, ((granule, d),), exact)
+    return _lower(Mode.THREE_WAY, cctx, objects, "lower_three_way")
 
 
 def upper_vee(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
     """Minimal unions of attribute extents containing the granule."""
-    x = frozenset(objects)
-    xm = object_mask(ctx, x)
+    rule, _, x = _enter(Mode.VEE, ctx, objects, "upper_vee")
     if not x:
         raise ValueError("upper_vee needs a non-empty granule")
-    pool = [(j, col) for j, col in enumerate(ctx.column_masks) if col & xm]
-    covered = 0
-    for _, col in pool:
-        covered |= col
-    if not is_subset(xm, covered):
+    if not is_subset(x, _possibility(ctx, ctx.full_attribute_mask)):
         raise Inapplicable(
             Reason.EMPTY_INTENT,
             "some object of the granule appears in no attribute extent",
         )
-    unions = _kernel.minimal_cover_unions([c for _, c in pool], xm, strict=False)
-    granules: list[tuple[ObjectSet, Description | None]] = []
-    exact = False
+    pool = [(j, col) for j, col in enumerate(ctx.column_masks) if col & x]
+    unions = _kernel.minimal_cover_unions([c for _, c in pool], x, strict=False)
+    granules: list[tuple[int, Description | None]] = []
     for y in unions:
-        attrs = [j for j, c in pool if is_subset(c, y)]
-        granule = set_of(y)
-        d = disj_of(ctx, attrs)
-        _check_eval(ctx, granule, d)
-        exact = exact or y == xm
-        granules.append((granule, d))
+        d = rule.build(ctx, mask_of(j for j, c in pool if is_subset(c, y)))
+        granules.append((y, _self_check(ctx, y, d)))
+    exact = x in unions
     return Approximation(Direction.UPPER, Mode.VEE, _sorted_granules(granules), exact)
-
-
-# ---------------------------------------------------------------------------
-# common-and-necessary mode
-# ---------------------------------------------------------------------------
-
-
-def upper_cn(cctx: CompoundContext, objects: Iterable[int]) -> Approximation:
-    """Least two-part definable superset: the two-part closure."""
-    if cctx.flavor is not Flavor.COMMON_NECESSARY:
-        raise FlavorMismatch("upper_cn needs a common_necessary compound")
-    x = frozenset(objects)
-    xm = object_mask(cctx, x)
-    if not x:
-        raise ValueError("upper_cn needs a non-empty granule")
-    if not any(is_subset(xm, col) for col in cctx.a_block.column_masks):
-        raise Inapplicable(
-            Reason.EMPTY_A_PART, "no a-attribute extent contains the granule"
-        )
-    coverable = 0
-    for col in cctx.b_block.column_masks:
-        coverable |= col
-    if not is_subset(xm, coverable):
-        raise Inapplicable(
-            Reason.NO_B_COVER, "no union of b-extents covers the granule"
-        )
-    e = cn_intent(cctx, x)
-    closure = cn_extent(cctx, e)
-    d = conj_disj(cctx, e.a_part, e.b_part)
-    _check_eval(cctx, closure, d)
-    return Approximation(Direction.UPPER, Mode.CN, ((closure, d),), closure == x)

@@ -18,41 +18,33 @@ from collections.abc import Sequence
 
 from granudesc import approximation as approx_ops
 from granudesc import definability as defin
+from granudesc import lattice
 from granudesc.context import (
     CompoundContext,
     Flavor,
     FormalContext,
+    _parse_any,
     appose_negation,
     complement_context,
     make_cn_context,
-    parse_compound,
-    parse_context,
     serialize_compound,
     serialize_context,
 )
-from granudesc.errors import (
-    ContextFormatError,
-    FlavorMismatch,
-    GranuleDescError,
-    Inapplicable,
-    SizeGuardExceeded,
-)
+from granudesc.definability import _RULES, Mode
+from granudesc.errors import GranuleDescError, Inapplicable, SizeGuardExceeded
 from granudesc.formula import Conj, ConjDisj, Description, Disj, render
-from granudesc.lattice import (
-    concept_json_obj,
-    concepts_to_text,
-    enumerate_cn,
-    enumerate_formal,
-    enumerate_object_oriented,
-    enumerate_three_way,
-    lattice_to_dot,
-)
 
 EXIT_OK = 0
 EXIT_INDEFINABLE = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_INAPPLICABLE = 4
+
+_VERDICT_EXIT = {
+    defin.Status.DEFINABLE: EXIT_OK,
+    defin.Status.INDEFINABLE: EXIT_INDEFINABLE,
+    defin.Status.INAPPLICABLE: EXIT_INAPPLICABLE,
+}
 
 
 class _CliError(Exception):
@@ -72,11 +64,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_any(path: str) -> FormalContext | CompoundContext:
-    text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"flavor"' in text:
-        return parse_compound(text)
-    return parse_context(text)
+    return _parse_any(_read_text(path))
 
 
 def _as_formal(loaded: object, what: str) -> FormalContext:
@@ -85,11 +73,18 @@ def _as_formal(loaded: object, what: str) -> FormalContext:
     raise _CliError(f"{what} needs a plain formal context")
 
 
-def _resolve_compound(
+def _context_for(
     loaded: FormalContext | CompoundContext,
+    flavor: Flavor | None,
     compound_path: str | None,
-    flavor: Flavor,
-) -> CompoundContext:
+    what: str,
+) -> FormalContext | CompoundContext:
+    """The context of the kind a mode or variant reads (plain when
+    ``flavor`` is None), built from the input and --compound."""
+    if flavor is None:
+        if compound_path:
+            raise _CliError(f"{what} takes no --compound")
+        return _as_formal(loaded, what)
     if isinstance(loaded, CompoundContext):
         if loaded.flavor is not flavor:
             raise _CliError(
@@ -160,14 +155,15 @@ def _description_json(d: Description | None) -> dict | None:
     conj: list[str] = []
     disj: list[str] = []
     negated: list[str] = []
+    # atoms are stored in canonical order: plain before negated, by index
     if isinstance(d, Conj):
-        for a in sorted(d.atoms, key=lambda a: (a.negated, a.index)):
+        for a in d.atoms:
             (negated if a.negated else conj).append(a.name)
     elif isinstance(d, Disj):
-        disj = [a.name for a in sorted(d.atoms, key=lambda a: a.index)]
+        disj = [a.name for a in d.atoms]
     elif isinstance(d, ConjDisj):
-        conj = [a.name for a in sorted(d.conj_atoms, key=lambda a: a.index)]
-        disj = [a.name for a in sorted(d.disj_atoms, key=lambda a: a.index)]
+        conj = [a.name for a in d.conj_atoms]
+        disj = [a.name for a in d.disj_atoms]
     return {"conj": conj, "disj": disj, "negated": negated}
 
 
@@ -180,61 +176,52 @@ def _cmd_concepts(args: argparse.Namespace) -> int:
     loaded = _load_any(args.input)
     variant = args.variant.replace("-", "_")
     fmt = _pick_format(args.format, ("text", "json", "dot"))
-    if variant == "formal":
-        lattice = enumerate_formal(_as_formal(loaded, "variant formal"), args.force)
-        concepts = lattice.concepts
-    elif variant == "object_oriented":
-        lattice = enumerate_object_oriented(
-            _as_formal(loaded, "variant object-oriented"), args.force
-        )
-        concepts = lattice.concepts
-    elif variant == "three_way":
-        cctx = _resolve_compound(loaded, None, Flavor.THREE_WAY)
-        lattice = enumerate_three_way(cctx, args.force)
-        concepts = lattice.concepts
-    elif variant == "cn":
-        cctx = _resolve_compound(loaded, args.compound, Flavor.COMMON_NECESSARY)
-        lattice = None
-        concepts = tuple(enumerate_cn(cctx, args.force))
-    else:
+    rule = next((r for r in _RULES.values() if r.family == variant), None)
+    if rule is None:
         raise _CliError(f"unknown variant {args.variant!r}")
+    # --compound names the second block of the cn variant only
+    compound = args.compound if rule.flavor is Flavor.COMMON_NECESSARY else None
+    what = f"variant {variant.replace('_', '-')}"
+    ctx = _context_for(loaded, rule.flavor, compound, what)
+    family = getattr(lattice, f"enumerate_{variant}")(ctx, args.force)
+    if isinstance(family, lattice.ConceptLattice):
+        concepts = family.concepts
+    else:
+        concepts, family = tuple(family), None
     if fmt == "dot":
-        if lattice is None:
+        if family is None:
             raise _CliError("the cn family carries no lattice; use text or json")
-        sys.stdout.write(lattice_to_dot(lattice, args.ascii))
+        sys.stdout.write(lattice.lattice_to_dot(family, args.ascii))
     elif fmt == "json":
-        payload = [concept_json_obj(c) for c in concepts]
+        payload = [lattice.concept_json_obj(c) for c in concepts]
         sys.stdout.write(json.dumps(payload, ensure_ascii=False) + "\n")
     else:
-        sys.stdout.write(concepts_to_text(concepts, args.ascii))
+        sys.stdout.write(lattice.concepts_to_text(concepts, args.ascii))
     return EXIT_OK
 
 
-_MODES = ("wedge", "three_way", "vee", "cn")
+def _mode_context(
+    args: argparse.Namespace,
+) -> tuple[Mode, FormalContext | CompoundContext]:
+    """The mode named by --mode and the context it reads."""
+    loaded = _load_any(args.input)
+    try:
+        mode = Mode(args.mode.replace("-", "_"))
+    except ValueError:
+        names = ", ".join(m.value.replace("_", "-") for m in Mode)
+        raise _CliError(f"mode must be one of {names}; got {args.mode!r}") from None
+    flavor = _RULES[mode].flavor
+    return mode, _context_for(loaded, flavor, args.compound, f"mode {mode.value}")
 
 
-def _mode_of(raw: str) -> str:
-    mode = raw.replace("-", "_")
-    if mode not in _MODES:
-        raise _CliError(f"mode must be one of wedge, three-way, vee, cn; got {raw!r}")
-    return mode
-
-
-def _context_for_mode(
-    loaded: FormalContext | CompoundContext, mode: str, compound_path: str | None
-):
-    if mode in ("wedge", "vee"):
-        if compound_path:
-            raise _CliError(f"mode {mode} takes no --compound")
-        return _as_formal(loaded, f"mode {mode}")
-    if mode == "three_way":
-        return _resolve_compound(loaded, compound_path, Flavor.THREE_WAY)
-    return _resolve_compound(loaded, compound_path, Flavor.COMMON_NECESSARY)
-
-
-def _verdict_payload(
-    verdict: defin.Verdict, ascii_ops: bool
-) -> tuple[dict, list[str]]:
+def _cmd_define(args: argparse.Namespace) -> int:
+    mode, ctx = _mode_context(args)
+    granule = _parse_granule(args.granule, ctx.objects)
+    fmt = _pick_format(args.format, ("text", "json"))
+    try:
+        verdict = getattr(defin, f"is_{mode.value}_definable")(ctx, granule)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     payload = {
         "status": verdict.status.value,
         "description": _description_json(verdict.description),
@@ -242,69 +229,31 @@ def _verdict_payload(
         "witness": _one_based(verdict.witness) if verdict.witness is not None else None,
     }
     if verdict.status is defin.Status.DEFINABLE:
-        lines = [f"definable: {render(verdict.description, ascii_ops)}"]
+        lines = [f"definable: {render(verdict.description, args.ascii)}"]
     elif verdict.status is defin.Status.INDEFINABLE:
-        lines = ["indefinable"]
+        lines = [f"indefinable (closure {_names(ctx.objects, verdict.witness)})"]
     else:
         lines = [f"inapplicable: {verdict.reason.value}"]
-    return payload, lines
-
-
-def _cmd_define(args: argparse.Namespace) -> int:
-    loaded = _load_any(args.input)
-    mode = _mode_of(args.mode)
-    ctx = _context_for_mode(loaded, mode, args.compound)
-    granule = _parse_granule(args.granule, ctx.objects)
-    fmt = _pick_format(args.format, ("text", "json"))
-    try:
-        if mode == "wedge":
-            verdict = defin.is_wedge_definable(ctx, granule)
-        elif mode == "three_way":
-            verdict = defin.is_three_way_definable(ctx, granule)
-        elif mode == "vee":
-            verdict = defin.is_vee_definable(ctx, granule)
-        else:
-            verdict = defin.is_cn_definable(ctx, granule)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-    payload, lines = _verdict_payload(verdict, args.ascii)
-    if verdict.witness is not None:
-        lines[0] += f" (closure {_names(ctx.objects, verdict.witness)})"
-    minimal: list[Description] = []
     if args.minimal and verdict.status is defin.Status.DEFINABLE:
-        minimal = defin.minimal_descriptions(ctx, granule, mode)
+        minimal = defin.minimal_descriptions(ctx, granule, mode.value)
         payload["minimal"] = [render(d, args.ascii) for d in minimal]
         lines.extend(f"minimal: {render(d, args.ascii)}" for d in minimal)
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, ensure_ascii=False) + "\n")
     else:
         sys.stdout.write("\n".join(lines) + "\n")
-    if verdict.status is defin.Status.DEFINABLE:
-        return EXIT_OK
-    if verdict.status is defin.Status.INDEFINABLE:
-        return EXIT_INDEFINABLE
-    return EXIT_INAPPLICABLE
+    return _VERDICT_EXIT[verdict.status]
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    loaded = _load_any(args.input)
-    mode = _mode_of(args.mode)
-    direction = args.direction
-    ctx = _context_for_mode(loaded, mode, args.compound)
+    mode, ctx = _mode_context(args)
     granule = _parse_granule(args.granule, ctx.objects)
     fmt = _pick_format(args.format, ("text", "json"))
-    table = {
-        ("upper", "wedge"): approx_ops.upper_wedge,
-        ("lower", "wedge"): approx_ops.lower_wedge,
-        ("upper", "three_way"): approx_ops.upper_three_way,
-        ("lower", "three_way"): approx_ops.lower_three_way,
-        ("upper", "vee"): approx_ops.upper_vee,
-        ("lower", "vee"): approx_ops.lower_vee,
-        ("upper", "cn"): approx_ops.upper_cn,
-    }
-    op = table.get((direction, mode))
+    op = getattr(approx_ops, f"{args.direction}_{mode.value}", None)
     if op is None:
-        raise _CliError(f"no {direction} approximation is defined for mode {args.mode}")
+        raise _CliError(
+            f"no {args.direction} approximation is defined for mode {args.mode}"
+        )
     try:
         result = op(ctx, granule)
     except ValueError as exc:
@@ -341,14 +290,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if args.op == "complement":
         out_ctx = complement_context(ctx, args.prefix)
         text = serialize_context(out_ctx, fmt)
-    elif args.op == "appose":
+    else:  # "appose", the only other choice argparse admits
         cctx = appose_negation(ctx, args.prefix)
         if fmt == "cxt":
             text = serialize_context(cctx.flattened, "cxt")
         else:
             text = serialize_compound(cctx)
-    else:
-        raise _CliError(f"unknown conversion {args.op!r}")
     if args.output and args.output != "-":
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -363,9 +310,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     loaded = _load_any(args.input)
     if isinstance(loaded, CompoundContext):
-        cells = sum(sum(row) for row in loaded.a_incidence) + sum(
-            sum(row) for row in loaded.b_incidence
-        )
+        cells = sum(sum(row) for row in loaded.flattened.incidence)
         sys.stdout.write(
             f"ok: {loaded.flavor.value} compound, {len(loaded.objects)} objects, "
             f"{len(loaded.a_attributes)}+{len(loaded.b_attributes)} attributes, "
@@ -422,11 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, help="wedge, three-way, vee or cn")
     p.add_argument("--direction", required=True, choices=("upper", "lower"))
     p.add_argument("--compound", help="second attribute block for cn mode")
-    p.add_argument(
-        "--all",
-        action="store_true",
-        help="emit every result (already the default; kept for compatibility)",
-    )
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("convert", help="derive the complement or apposed table")
@@ -455,9 +395,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ContextFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SizeGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -465,7 +402,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         reason = getattr(exc.reason, "value", exc.reason)
         print(f"inapplicable: {exc.message} ({reason})", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (FlavorMismatch, GranuleDescError) as exc:
+    except GranuleDescError as exc:  # parse errors and context-kind mismatches
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

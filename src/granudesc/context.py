@@ -192,11 +192,12 @@ def _check_names(names: Sequence[str], kind: str) -> None:
 #
 # line 1: "B"; line 2: blank; lines 3-4: object and attribute counts;
 # line 5: blank; then object names, attribute names and one row of
-# 'X'/'.' cells per object.  Trailing newline optional on input.
+# 'X'/'.' cells per object.  Trailing newline optional on input; CRLF
+# line ends are accepted.
 
 
 def _parse_cxt(text: str) -> FormalContext:
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
 
@@ -274,11 +275,14 @@ def _serialize_cxt(ctx: FormalContext) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_json(text: str) -> object:
+def _load_json(text: str) -> dict:
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ContextFormatError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    if not isinstance(data, dict):
+        raise ContextFormatError("expected a JSON object at the top level")
+    return data
 
 
 def _json_names(data: dict, key: str) -> tuple[str, ...]:
@@ -294,15 +298,16 @@ def _json_rows(data: dict, key: str) -> tuple[tuple[bool, ...], ...]:
         raise ContextFormatError(f"field {key!r} must be a list of rows")
     rows = []
     for i, row in enumerate(value):
-        if not isinstance(row, list) or not all(v in (0, 1, False, True) for v in row):
+        # 1.0 == 1 in Python, so the type is checked too (bool is an int)
+        if not isinstance(row, list) or not all(
+            isinstance(v, int) and v in (0, 1) for v in row
+        ):
             raise ContextFormatError(f"field {key!r}, row {i + 1} must hold 0/1 cells")
         rows.append(tuple(bool(v) for v in row))
     return tuple(rows)
 
 
-def _context_from_json(data: object) -> FormalContext:
-    if not isinstance(data, dict):
-        raise ContextFormatError("expected a JSON object at the top level")
+def _context_from_json(data: dict) -> FormalContext:
     return FormalContext(
         _json_names(data, "objects"),
         _json_names(data, "attributes"),
@@ -334,9 +339,10 @@ def serialize_context(ctx: FormalContext, format: str = "cxt") -> str:
 
 def parse_compound(text: str) -> CompoundContext:
     """Parse a compound context from its JSON shape."""
-    data = _load_json(text)
-    if not isinstance(data, dict):
-        raise ContextFormatError("expected a JSON object at the top level")
+    return _compound_from_json(_load_json(text))
+
+
+def _compound_from_json(data: dict) -> CompoundContext:
     raw_flavor = data.get("flavor")
     try:
         flavor = Flavor(raw_flavor)
@@ -352,6 +358,17 @@ def parse_compound(text: str) -> CompoundContext:
         _json_rows(data, "b_incidence"),
         flavor,
     )
+
+
+def _parse_any(text: str) -> FormalContext | CompoundContext:
+    """A compound when the text is a JSON object with a top-level
+    ``flavor`` key, a plain context otherwise."""
+    if not text.lstrip().startswith("{"):
+        return _parse_cxt(text)
+    data = _load_json(text)
+    if "flavor" in data:
+        return _compound_from_json(data)
+    return _context_from_json(data)
 
 
 def serialize_compound(cctx: CompoundContext) -> str:

@@ -10,10 +10,16 @@ to exactly the granule:
 * common-and-necessary mode: an a-block conjunction and-ed with a
   b-block disjunct, each part non-empty.
 
+Each mode is one record in ``_RULES``: the context kind it needs, the
+table it closes over, a Galois pair on integer masks (granule to
+attributes and back) and a description builder.  Definability, the
+bounds in ``approximation``, minimal descriptions and the command line
+all read that table.
+
 Verdicts separate "indefinable" (the closure differs) from
 "inapplicable" (the mode's premise fails, e.g. no shared attribute).
-Every definable verdict carries a description that evaluates back to the
-granule; that round trip is asserted before returning.
+Every returned description is evaluated back against its granule
+before it leaves the package.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Callable, Iterable
+from typing import Any
 
-from granudesc._bits import is_subset, mask_of
+from granudesc._bits import bits, mask_of, set_of
 from granudesc.context import (
     CompoundContext,
     Flavor,
@@ -32,26 +39,34 @@ from granudesc.context import (
     complement_context,
 )
 from granudesc.derivation import (
-    cn_extent,
-    cn_intent,
-    compound_extent,
-    compound_intent,
+    _cn_b_part,
+    _cn_extent,
+    _cn_premise,
+    _extent,
+    _intent,
+    _necessity,
+    _possibility,
+    _require_flavor,
     extent,
     intent,
-    necessity,
     object_mask,
-    possibility,
 )
-from granudesc.errors import FlavorMismatch, Inapplicable
+from granudesc.errors import Inapplicable
 from granudesc.formula import (
-    ConjDisj,
     Description,
+    _satisfying,
     conj_disj,
     conj_of,
     disj_of,
-    evaluate,
     three_way_conj,
 )
+
+
+class Mode(Enum):
+    WEDGE = "wedge"
+    THREE_WAY = "three_way"
+    VEE = "vee"
+    CN = "cn"
 
 
 class Status(Enum):
@@ -74,27 +89,153 @@ class Verdict:
     witness: ObjectSet | None = None
 
 
-def _definable(
-    ctx: FormalContext | CompoundContext, x: frozenset[int], d: Description
-) -> Verdict:
-    check = evaluate(ctx, d)
-    if check != x:
-        raise AssertionError(
-            f"description {d!r} evaluates to {sorted(check)}, not {sorted(x)}"
+# ---------------------------------------------------------------------------
+# the table of modes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """How one description mode reads a context.
+
+    ``derive`` maps a granule mask to the attribute mask of ``table(ctx)``
+    that describes it, ``close`` maps attributes back to objects; their
+    composite is the mode's closure.  ``build`` turns an attribute mask
+    into a description over the context itself.
+    """
+
+    flavor: Flavor | None  # the context kind; None for a plain table
+    table: Callable[[Any], Any]
+    derive: Callable[[Any, int], int]
+    close: Callable[[Any, int], int]
+    build: Callable[[Any, int], Description]
+    family: str  # the concept family the mode's fixed points form
+    needs_granule: bool = False  # the empty granule has no answer
+
+    def minimal(self, t: Any, x: int) -> list[int]:
+        """Inclusion-minimal attribute masks that close to the granule,
+        smallest first, ties broken lexicographically."""
+        return _minimal_subsets(
+            list(bits(self.derive(t, x))), lambda s: self.close(t, s) == x
         )
+
+
+class _CnRule(_Rule):
+    """The two-part mode: attribute masks hold the a-part in the low bits
+    and the b-part above them, as in a flattened compound."""
+
+    def minimal(self, t: Any, x: int) -> list[int]:
+        n = len(t.a_attributes)
+        low = (1 << n) - 1
+        b_attrs = range(n, n + len(t.b_attributes))
+        base = list(bits(_intent(t.a_block, x))) + list(b_attrs)
+        hits = _minimal_subsets(
+            base, lambda s: s & low and s >> n and self.close(t, s) == x
+        )
+        return sorted(
+            hits,
+            key=lambda s: (bin(s).count("1"), tuple(bits(s & low)), tuple(bits(s >> n))),
+        )
+
+
+def _cn_derive(cctx: CompoundContext, x: int) -> int:
+    """The canonical two-part intent (see ``cn_intent``) as one mask."""
+    a_part, covered = _cn_premise(cctx, x)
+    if not a_part:
+        raise Inapplicable(
+            Reason.EMPTY_A_PART, "no a-attribute extent contains the granule"
+        )
+    if not covered:
+        raise Inapplicable(
+            Reason.NO_B_COVER, "no union of b-extents covers the granule"
+        )
+    return a_part | _cn_b_part(cctx, x, a_part) << len(cctx.a_attributes)
+
+
+def _cn_build(cctx: CompoundContext, attrs: int) -> Description:
+    n = len(cctx.a_attributes)
+    return conj_disj(cctx, bits(attrs & ((1 << n) - 1)), bits(attrs >> n))
+
+
+_RULES: dict[Mode, _Rule] = {
+    Mode.WEDGE: _Rule(
+        None, lambda ctx: ctx, _intent, _extent,
+        lambda ctx, a: conj_of(ctx, bits(a)), "formal",
+    ),
+    Mode.THREE_WAY: _Rule(
+        Flavor.THREE_WAY, lambda cctx: cctx.flattened, _intent, _extent,
+        lambda cctx, a: three_way_conj(cctx, bits(a)), "three_way",
+    ),
+    Mode.VEE: _Rule(
+        None, lambda ctx: ctx, _necessity, _possibility,
+        lambda ctx, a: disj_of(ctx, bits(a)), "object_oriented",
+    ),
+    Mode.CN: _CnRule(
+        Flavor.COMMON_NECESSARY, lambda cctx: cctx, _cn_derive, _cn_extent,
+        _cn_build, "cn", needs_granule=True,
+    ),
+}
+
+
+def _enter(
+    mode: Mode, ctx: FormalContext | CompoundContext, objects: Iterable[int], op: str
+) -> tuple[_Rule, Any, int]:
+    """Check the context kind and the object indices once, at entry."""
+    rule = _RULES[mode]
+    _require_flavor(ctx, rule.flavor, op)
+    return rule, rule.table(ctx), object_mask(ctx, objects)
+
+
+def _closure(
+    mode: Mode, ctx: FormalContext | CompoundContext, objects: Iterable[int], op: str
+) -> tuple[_Rule, int, int, int]:
+    """Granule mask, describing attribute mask and closure of the granule.
+
+    Raises ``Inapplicable`` when the mode's premise fails.
+    """
+    rule, t, x = _enter(mode, ctx, objects, op)
+    if rule.needs_granule and not x:
+        raise ValueError(f"{op} needs a non-empty granule")
+    attrs = rule.derive(t, x)
+    if not attrs:
+        raise Inapplicable(Reason.EMPTY_INTENT, "the granule shares no attribute")
+    return rule, x, attrs, rule.close(t, attrs)
+
+
+def _self_check(
+    ctx: FormalContext | CompoundContext, granule: int, d: Description
+) -> Description:
+    """The one self-check: a description must evaluate to its granule."""
+    got = _satisfying(ctx, d)
+    if got != granule:
+        raise AssertionError(
+            f"description {d!r} evaluates to {sorted(bits(got))}, "
+            f"not {sorted(bits(granule))}"
+        )
+    return d
+
+
+def _verdict(
+    mode: Mode, ctx: FormalContext | CompoundContext, objects: Iterable[int], op: str
+) -> Verdict:
+    try:
+        rule, x, attrs, closure = _closure(mode, ctx, objects, op)
+    except Inapplicable as exc:
+        return Verdict(Status.INAPPLICABLE, reason=exc.reason)
+    if closure != x:
+        return Verdict(Status.INDEFINABLE, witness=set_of(closure))
+    d = _self_check(ctx, x, rule.build(ctx, attrs))
     return Verdict(Status.DEFINABLE, description=d)
+
+
+# ---------------------------------------------------------------------------
+# verdicts
+# ---------------------------------------------------------------------------
 
 
 def is_wedge_definable(ctx: FormalContext, objects: Iterable[int]) -> Verdict:
     """Conjunctive definability: the granule equals the extent of its intent."""
-    x = frozenset(objects)
-    shared = intent(ctx, x)
-    if not shared:
-        return Verdict(Status.INAPPLICABLE, reason=Reason.EMPTY_INTENT)
-    closure = extent(ctx, shared)
-    if closure == x:
-        return _definable(ctx, x, conj_of(ctx, shared))
-    return Verdict(Status.INDEFINABLE, witness=closure)
+    return _verdict(Mode.WEDGE, ctx, objects, "is_wedge_definable")
 
 
 def find_covering_elements(ctx: FormalContext, objects: Iterable[int]) -> ObjectSet:
@@ -103,38 +244,19 @@ def find_covering_elements(ctx: FormalContext, objects: Iterable[int]) -> Object
     Their absence is equivalent to conjunctive definability.  Raises
     ``Inapplicable`` when the granule has no shared attribute.
     """
-    x = frozenset(objects)
-    shared = intent(ctx, x)
-    if not shared:
-        raise Inapplicable(Reason.EMPTY_INTENT, "the granule shares no attribute")
-    return extent(ctx, shared) - x
+    _, x, _, closure = _closure(Mode.WEDGE, ctx, objects, "find_covering_elements")
+    return set_of(closure & ~x)
 
 
 def is_three_way_definable(cctx: CompoundContext, objects: Iterable[int]) -> Verdict:
     """Conjunctive definability over the attribute-and-complement compound."""
-    if cctx.flavor is not Flavor.THREE_WAY:
-        raise FlavorMismatch("is_three_way_definable needs a three_way compound")
-    x = frozenset(objects)
-    shared = compound_intent(cctx, x)
-    if not shared:
-        return Verdict(Status.INAPPLICABLE, reason=Reason.EMPTY_INTENT)
-    closure = compound_extent(cctx, shared)
-    if closure == x:
-        return _definable(cctx, x, three_way_conj(cctx, shared))
-    return Verdict(Status.INDEFINABLE, witness=closure)
+    return _verdict(Mode.THREE_WAY, cctx, objects, "is_three_way_definable")
 
 
 def is_vee_definable(ctx: FormalContext, objects: Iterable[int]) -> Verdict:
     """Disjunctive definability: the granule is the union of the attribute
     extents it fully contains."""
-    x = frozenset(objects)
-    inside = necessity(ctx, x)
-    if not inside:
-        return Verdict(Status.INAPPLICABLE, reason=Reason.EMPTY_INTENT)
-    closure = possibility(ctx, inside)
-    if closure == x:
-        return _definable(ctx, x, disj_of(ctx, inside))
-    return Verdict(Status.INDEFINABLE, witness=closure)
+    return _verdict(Mode.VEE, ctx, objects, "is_vee_definable")
 
 
 def is_vee_definable_via_complement(
@@ -146,54 +268,54 @@ def is_vee_definable_via_complement(
     conjunctively closed over the complemented table.  Diagnostic twin of
     ``is_vee_definable``; both return identical verdicts.
     """
-    x = frozenset(objects)
+    _require_flavor(ctx, None, "is_vee_definable_via_complement")
+    x = object_mask(ctx, objects)
     comp = complement_context(ctx)
-    rest = frozenset(range(ctx.n_objects)) - frozenset(
-        _checked_objects(ctx, x)
-    )
+    everything = frozenset(range(ctx.n_objects))
+    rest = everything - set_of(x)
     shared = intent(comp, rest)
     if not shared:
         return Verdict(Status.INAPPLICABLE, reason=Reason.EMPTY_INTENT)
     closure = extent(comp, shared)
     if closure == rest:
-        return _definable(ctx, x, disj_of(ctx, shared))
-    witness = frozenset(range(ctx.n_objects)) - closure
-    return Verdict(Status.INDEFINABLE, witness=witness)
-
-
-def _checked_objects(ctx: FormalContext | CompoundContext, objects: Iterable[int]) -> frozenset[int]:
-    x = frozenset(objects)
-    object_mask(ctx, x)  # bounds check
-    return x
+        d = _self_check(ctx, x, disj_of(ctx, shared))
+        return Verdict(Status.DEFINABLE, description=d)
+    return Verdict(Status.INDEFINABLE, witness=everything - closure)
 
 
 def is_cn_definable(cctx: CompoundContext, objects: Iterable[int]) -> Verdict:
     """Two-part definability: a non-empty a-part conjunction intersected
     with a non-empty b-part disjunct must give back the granule."""
-    if cctx.flavor is not Flavor.COMMON_NECESSARY:
-        raise FlavorMismatch("is_cn_definable needs a common_necessary compound")
-    x = _checked_objects(cctx, objects)
-    if not x:
-        raise ValueError("is_cn_definable needs a non-empty granule")
-    xm = mask_of(x)
-    a_cols = cctx.a_block.column_masks
-    if not any(is_subset(xm, col) for col in a_cols):
-        return Verdict(Status.INAPPLICABLE, reason=Reason.EMPTY_A_PART)
-    coverable = 0
-    for col in cctx.b_block.column_masks:
-        coverable |= col
-    if not is_subset(xm, coverable):
-        return Verdict(Status.INAPPLICABLE, reason=Reason.NO_B_COVER)
-    e = cn_intent(cctx, x)
-    closure = cn_extent(cctx, e)
-    if closure == x:
-        return _definable(cctx, x, conj_disj(cctx, e.a_part, e.b_part))
-    return Verdict(Status.INDEFINABLE, witness=closure)
+    return _verdict(Mode.CN, cctx, objects, "is_cn_definable")
 
 
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
+
+
+def _compose(
+    mode: Mode,
+    ctx: FormalContext | CompoundContext,
+    granules: tuple[Iterable[int], Iterable[int]],
+    merge: Callable[[int, int], int],
+    op: str,
+) -> Verdict:
+    """Description of two definable granules merged: the union of their
+    describing attributes, which always closes to the merged granule."""
+    merged = 0
+    masks = []
+    for objects in granules:
+        try:
+            rule, x, attrs, closure = _closure(mode, ctx, objects, op)
+        except Inapplicable:
+            return Verdict(Status.INAPPLICABLE)
+        if closure != x:
+            return Verdict(Status.INAPPLICABLE)
+        merged |= attrs
+        masks.append(x)
+    d = _self_check(ctx, merge(*masks), rule.build(ctx, merged))
+    return Verdict(Status.DEFINABLE, description=d)
 
 
 def intersect_descriptions(
@@ -204,38 +326,17 @@ def intersect_descriptions(
 ) -> Verdict:
     """Description of the intersection of two conjunctively definable
     granules: the union of their intents, which always closes back."""
-    if mode == "wedge":
-        check = is_wedge_definable
-        get_intent = intent
-        build = conj_of
-    elif mode == "three_way":
-        check = is_three_way_definable
-        get_intent = compound_intent
-        build = three_way_conj
-    else:
+    m = Mode(mode)
+    if m not in (Mode.WEDGE, Mode.THREE_WAY):
         raise ValueError("mode must be 'wedge' or 'three_way'")
-    x = frozenset(first)
-    y = frozenset(second)
-    if check(ctx, x).status is not Status.DEFINABLE:
-        return Verdict(Status.INAPPLICABLE)
-    if check(ctx, y).status is not Status.DEFINABLE:
-        return Verdict(Status.INAPPLICABLE)
-    merged = get_intent(ctx, x) | get_intent(ctx, y)
-    return _definable(ctx, x & y, build(ctx, merged))
+    return _compose(m, ctx, (first, second), int.__and__, "intersect_descriptions")
 
 
 def union_vee_descriptions(
     ctx: FormalContext, first: Iterable[int], second: Iterable[int]
 ) -> Verdict:
     """Description of the union of two disjunctively definable granules."""
-    x = frozenset(first)
-    y = frozenset(second)
-    if is_vee_definable(ctx, x).status is not Status.DEFINABLE:
-        return Verdict(Status.INAPPLICABLE)
-    if is_vee_definable(ctx, y).status is not Status.DEFINABLE:
-        return Verdict(Status.INAPPLICABLE)
-    merged = necessity(ctx, x) | necessity(ctx, y)
-    return _definable(ctx, x | y, disj_of(ctx, merged))
+    return _compose(Mode.VEE, ctx, (first, second), int.__or__, "union_vee_descriptions")
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +344,18 @@ def union_vee_descriptions(
 # ---------------------------------------------------------------------------
 
 
-def _minimal_subsets(
-    base: list[int], keeps: Callable[[frozenset[int]], bool]
-) -> list[frozenset[int]]:
-    """Inclusion-minimal non-empty subsets of base satisfying the predicate."""
-    hits: list[frozenset[int]] = []
+def _minimal_subsets(base: list[int], keeps: Callable[[int], bool]) -> list[int]:
+    """Inclusion-minimal non-empty subsets of base satisfying the predicate,
+    as masks, by size and then lexicographically."""
+    hits: list[int] = []
     for size in range(1, len(base) + 1):
         for combo in itertools.combinations(base, size):
-            s = frozenset(combo)
-            if any(h <= s for h in hits):
+            s = mask_of(combo)
+            if any(h & ~s == 0 for h in hits):
                 continue
             if keeps(s):
                 hits.append(s)
-    return sorted(hits, key=lambda s: (len(s), tuple(sorted(s))))
+    return hits
 
 
 def minimal_descriptions(
@@ -267,53 +367,5 @@ def minimal_descriptions(
 
     Exhaustive search; intended for small contexts and the --minimal flag.
     """
-    x = frozenset(objects)
-    if mode == "wedge":
-        base = sorted(intent(ctx, x))
-        keep = lambda s: extent(ctx, s) == x
-        return [conj_of(ctx, s) for s in _minimal_subsets(base, keep)]
-    if mode == "three_way":
-        base = sorted(compound_intent(ctx, x))
-        keep = lambda s: compound_extent(ctx, s) == x
-        return [three_way_conj(ctx, s) for s in _minimal_subsets(base, keep)]
-    if mode == "vee":
-        base = sorted(necessity(ctx, x))
-        keep = lambda s: possibility(ctx, s) == x
-        return [disj_of(ctx, s) for s in _minimal_subsets(base, keep)]
-    if mode == "cn":
-        return _minimal_cn_descriptions(ctx, x)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _minimal_cn_descriptions(
-    cctx: CompoundContext, x: frozenset[int]
-) -> list[ConjDisj]:
-    xm = mask_of(x)
-    a_cols = cctx.a_block.column_masks
-    b_cols = cctx.b_block.column_masks
-    a_base = [j for j, col in enumerate(a_cols) if is_subset(xm, col)]
-    b_base = list(range(len(b_cols)))
-    hits: list[tuple[frozenset[int], frozenset[int]]] = []
-    for asize in range(1, len(a_base) + 1):
-        for ac in itertools.combinations(a_base, asize):
-            g = cctx.a_block.full_object_mask
-            for j in ac:
-                g &= a_cols[j]
-            for bsize in range(1, len(b_base) + 1):
-                for bc in itertools.combinations(b_base, bsize):
-                    pair = (frozenset(ac), frozenset(bc))
-                    if any(h[0] <= pair[0] and h[1] <= pair[1] for h in hits):
-                        continue
-                    y = 0
-                    for j in bc:
-                        y |= b_cols[j]
-                    if g & y == xm:
-                        hits.append(pair)
-    hits.sort(
-        key=lambda h: (
-            len(h[0]) + len(h[1]),
-            tuple(sorted(h[0])),
-            tuple(sorted(h[1])),
-        )
-    )
-    return [conj_disj(cctx, a, b) for a, b in hits]
+    rule, t, x = _enter(Mode(mode), ctx, objects, "minimal_descriptions")
+    return [_self_check(ctx, x, rule.build(ctx, s)) for s in rule.minimal(t, x)]

@@ -7,6 +7,9 @@ union of attribute extents, and the attributes whose whole extent lies
 inside a granule.  Compound operators work on the flattened two-block
 table; the common-and-necessary pair combines a conjunctive a-part with a
 disjunctive b-part.
+
+Each operator has a private twin on integer masks (see ``_bits``); the
+public functions check indices, call the twin and return frozensets.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from granudesc import _kernel
-from granudesc._bits import bits, is_subset, mask_of, member_vector, set_of
+from granudesc._bits import bits, member_vector, set_of
 from granudesc.context import (
     AttributeSet,
     CompoundContext,
@@ -26,65 +29,93 @@ from granudesc.context import (
 from granudesc.errors import FlavorMismatch
 
 
-def object_mask(ctx: FormalContext | CompoundContext, objects: Iterable[int]) -> int:
-    m = mask_of(_checked(objects, ctx.n_objects, "object"))
+def _index_mask(indices: Iterable[int], bound: int, kind: str) -> int:
+    m = 0
+    for i in indices:
+        if not 0 <= i < bound:
+            raise ValueError(f"{kind} index {i} out of range 0..{bound - 1}")
+        m |= 1 << i
     return m
 
 
-def _checked(indices: Iterable[int], bound: int, kind: str) -> frozenset[int]:
-    s = frozenset(indices)
-    for i in s:
-        if not 0 <= i < bound:
-            raise ValueError(f"{kind} index {i} out of range 0..{bound - 1}")
-    return s
+def object_mask(ctx: FormalContext | CompoundContext, objects: Iterable[int]) -> int:
+    return _index_mask(objects, ctx.n_objects, "object")
 
 
 def _attr_mask(ctx: FormalContext, attrs: Iterable[int]) -> int:
-    return mask_of(_checked(attrs, ctx.n_attributes, "attribute"))
+    return _index_mask(attrs, ctx.n_attributes, "attribute")
+
+
+def _require_flavor(
+    ctx: FormalContext | CompoundContext, flavor: Flavor | None, op: str
+) -> None:
+    """The one context-kind guard: ``flavor`` None asks for a plain table."""
+    if flavor is None:
+        if not isinstance(ctx, FormalContext):
+            raise FlavorMismatch(f"{op} needs a plain formal context")
+        return
+    if not isinstance(ctx, CompoundContext):
+        raise FlavorMismatch(f"{op} needs a compound context")
+    if ctx.flavor is not flavor:
+        raise FlavorMismatch(
+            f"{op} needs a {flavor.value} compound, got {ctx.flavor.value}"
+        )
+
+
+def _intent(ctx: FormalContext, x: int) -> int:
+    result = ctx.full_attribute_mask
+    rows = ctx.row_masks
+    for i in bits(x):
+        result &= rows[i]
+    return result
+
+
+def _extent(ctx: FormalContext, a: int) -> int:
+    result = ctx.full_object_mask
+    cols = ctx.column_masks
+    for j in bits(a):
+        result &= cols[j]
+    return result
+
+
+def _possibility(ctx: FormalContext, a: int) -> int:
+    result = 0
+    cols = ctx.column_masks
+    for j in bits(a):
+        result |= cols[j]
+    return result
+
+
+def _necessity(ctx: FormalContext, x: int) -> int:
+    result = 0
+    for j, col in enumerate(ctx.column_masks):
+        if col & ~x == 0:
+            result |= 1 << j
+    return result
 
 
 def intent(ctx: FormalContext, objects: Iterable[int]) -> AttributeSet:
     """Attributes common to every object of the granule; all of them for the empty granule."""
-    m = object_mask(ctx, objects)
-    result = ctx.full_attribute_mask
-    for i in bits(m):
-        result &= ctx.row_masks[i]
-    return set_of(result)
+    _require_flavor(ctx, None, "intent")
+    return set_of(_intent(ctx, object_mask(ctx, objects)))
 
 
 def extent(ctx: FormalContext, attrs: Iterable[int]) -> ObjectSet:
     """Objects carrying every attribute of the set; all of them for the empty set."""
-    m = _attr_mask(ctx, attrs)
-    result = ctx.full_object_mask
-    for j in bits(m):
-        result &= ctx.column_masks[j]
-    return set_of(result)
+    _require_flavor(ctx, None, "extent")
+    return set_of(_extent(ctx, _attr_mask(ctx, attrs)))
 
 
 def possibility(ctx: FormalContext, attrs: Iterable[int]) -> ObjectSet:
     """Union of the attribute extents; empty for the empty set."""
-    m = _attr_mask(ctx, attrs)
-    result = 0
-    for j in bits(m):
-        result |= ctx.column_masks[j]
-    return set_of(result)
+    _require_flavor(ctx, None, "possibility")
+    return set_of(_possibility(ctx, _attr_mask(ctx, attrs)))
 
 
 def necessity(ctx: FormalContext, objects: Iterable[int]) -> AttributeSet:
     """Attributes whose whole extent lies inside the granule."""
-    m = object_mask(ctx, objects)
-    return frozenset(
-        j for j in range(ctx.n_attributes) if is_subset(ctx.column_masks[j], m)
-    )
-
-
-def _require_flavor(cctx: CompoundContext, flavor: Flavor, op: str) -> None:
-    if not isinstance(cctx, CompoundContext):
-        raise FlavorMismatch(f"{op} needs a compound context")
-    if cctx.flavor is not flavor:
-        raise FlavorMismatch(
-            f"{op} needs a {flavor.value} compound, got {cctx.flavor.value}"
-        )
+    _require_flavor(ctx, None, "necessity")
+    return set_of(_necessity(ctx, object_mask(ctx, objects)))
 
 
 def compound_intent(cctx: CompoundContext, objects: Iterable[int]) -> AttributeSet:
@@ -112,12 +143,48 @@ class CnIntent:
     no_b_cover: bool = False
 
 
+def _cn_extent(cctx: CompoundContext, attrs: int) -> int:
+    """Two-part extent of a mask holding the a-part in its low bits and the
+    b-part above them, as the flattened compound numbers its attributes."""
+    n = len(cctx.a_attributes)
+    a_part, b_part = attrs & ((1 << n) - 1), attrs >> n
+    return _extent(cctx.a_block, a_part) & _possibility(cctx.b_block, b_part)
+
+
 def cn_extent(cctx: CompoundContext, e: CnIntent) -> ObjectSet:
     """Objects in every a-part extent and in at least one b-part extent."""
     _require_flavor(cctx, Flavor.COMMON_NECESSARY, "cn_extent")
-    conj = extent(cctx.a_block, e.a_part)
-    disj = possibility(cctx.b_block, e.b_part)
-    return conj & disj
+    a = _attr_mask(cctx.a_block, e.a_part)
+    b = _attr_mask(cctx.b_block, e.b_part)
+    return set_of(_cn_extent(cctx, a | b << len(cctx.a_attributes)))
+
+
+def _cn_premise(cctx: CompoundContext, x: int) -> tuple[int, bool]:
+    """The a-part of a granule and whether some union of b-extents covers it.
+
+    The a-part is every a-attribute whose extent contains the granule; a
+    two-part description exists only when it is non-empty and the
+    granule is covered.
+    """
+    coverable = _possibility(cctx.b_block, cctx.b_block.full_attribute_mask)
+    return _intent(cctx.a_block, x), x & ~coverable == 0
+
+
+def _cn_b_part(cctx: CompoundContext, x: int, a_part: int) -> int:
+    """The b-part of the canonical two-part intent of a covered granule."""
+    g = _extent(cctx.a_block, a_part)
+    b_cols = cctx.b_block.column_masks
+    n = cctx.n_objects
+    best = min(
+        _kernel.minimal_cover_unions(b_cols, x),
+        key=lambda y: (
+            bin(g & y).count("1"),
+            bin(y).count("1"),
+            member_vector(y, n),
+        ),
+    )
+    # every b-attribute whose non-empty extent lies inside the union
+    return _necessity(cctx.b_block, best) & ~_necessity(cctx.b_block, 0)
 
 
 def cn_intent(cctx: CompoundContext, objects: Iterable[int]) -> CnIntent:
@@ -134,30 +201,7 @@ def cn_intent(cctx: CompoundContext, objects: Iterable[int]) -> CnIntent:
     x = object_mask(cctx, objects)
     if x == 0:
         raise ValueError("cn_intent needs a non-empty granule")
-    a_cols = cctx.a_block.column_masks
-    b_cols = cctx.b_block.column_masks
-    a_part = frozenset(j for j, col in enumerate(a_cols) if is_subset(x, col))
-    g = cctx.a_block.full_object_mask
-    for j in a_part:
-        g &= a_cols[j]
-
-    coverable = 0
-    for col in b_cols:
-        coverable |= col
-    if not is_subset(x, coverable):
-        return CnIntent(a_part, frozenset(), no_b_cover=True)
-
-    unions = _kernel.minimal_cover_unions(b_cols, x)
-    n = cctx.n_objects
-    best = min(
-        unions,
-        key=lambda y: (
-            bin(g & y).count("1"),
-            bin(y).count("1"),
-            member_vector(y, n),
-        ),
-    )
-    b_part = frozenset(
-        j for j, col in enumerate(b_cols) if col and is_subset(col, best)
-    )
-    return CnIntent(a_part, b_part)
+    a_part, covered = _cn_premise(cctx, x)
+    if not covered:
+        return CnIntent(set_of(a_part), frozenset(), no_b_cover=True)
+    return CnIntent(set_of(a_part), set_of(_cn_b_part(cctx, x, a_part)))

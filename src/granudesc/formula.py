@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Iterable, Sequence
 
-from granudesc._bits import bits, mask_of, set_of
+from granudesc._bits import set_of
 from granudesc.context import CompoundContext, Flavor, FormalContext, ObjectSet
-from granudesc.errors import FlavorMismatch, GranuleDescError
+from granudesc.derivation import _require_flavor
+from granudesc.errors import GranuleDescError
 
 
 class Block(Enum):
@@ -94,50 +95,43 @@ def _canonical_atoms(atoms: Sequence[Atom]) -> tuple[Atom, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _plain_atoms(ctx: FormalContext, attrs: Iterable[int]) -> tuple[Atom, ...]:
+def _atoms(
+    names: tuple[str, ...], attrs: Iterable[int], block: Block = Block.A
+) -> tuple[Atom, ...]:
     idx = sorted(set(attrs))
     for j in idx:
-        if not 0 <= j < ctx.n_attributes:
+        if not 0 <= j < len(names):
             raise ValueError(f"attribute index {j} out of range")
-    return tuple(Atom(Block.A, j, ctx.attributes[j]) for j in idx)
+    return tuple(Atom(block, j, names[j]) for j in idx)
 
 
 def conj_of(ctx: FormalContext, attrs: Iterable[int]) -> Conj:
-    return Conj(_plain_atoms(ctx, attrs))
+    return Conj(_atoms(ctx.attributes, attrs))
 
 
 def disj_of(ctx: FormalContext, attrs: Iterable[int]) -> Disj:
-    return Disj(_plain_atoms(ctx, attrs))
+    return Disj(_atoms(ctx.attributes, attrs))
 
 
 def three_way_conj(cctx: CompoundContext, flat_attrs: Iterable[int]) -> Conj:
     """Conjunction over flattened indices; the b-block half becomes negated atoms."""
-    if cctx.flavor is not Flavor.THREE_WAY:
-        raise FlavorMismatch("three_way_conj needs a three_way compound")
+    _require_flavor(cctx, Flavor.THREE_WAY, "three_way_conj")
     n = len(cctx.a_attributes)
     atoms = []
     for j in sorted(set(flat_attrs)):
         if not 0 <= j < 2 * n:
             raise ValueError(f"flattened attribute index {j} out of range")
-        if j < n:
-            atoms.append(Atom(Block.A, j, cctx.a_attributes[j]))
-        else:
-            atoms.append(Atom(Block.A, j - n, cctx.a_attributes[j - n], negated=True))
+        # a negated atom keeps the base name and index of its a-attribute
+        atoms.append(Atom(Block.A, j % n, cctx.a_attributes[j % n], negated=j >= n))
     return Conj(tuple(atoms))
 
 
 def conj_disj(
     cctx: CompoundContext, a_attrs: Iterable[int], b_attrs: Iterable[int]
 ) -> ConjDisj:
-    if cctx.flavor is not Flavor.COMMON_NECESSARY:
-        raise FlavorMismatch("conj_disj needs a common_necessary compound")
+    _require_flavor(cctx, Flavor.COMMON_NECESSARY, "conj_disj")
     return ConjDisj(
-        tuple(
-            Atom(Block.A, j, cctx.a_attributes[j]) for j in sorted(set(a_attrs))
-        ),
-        tuple(
-            Atom(Block.B, j, cctx.b_attributes[j]) for j in sorted(set(b_attrs))
-        ),
+        _atoms(cctx.a_attributes, a_attrs), _atoms(cctx.b_attributes, b_attrs, Block.B)
     )
 
 
@@ -174,30 +168,34 @@ def _atom_column(ctx: FormalContext | CompoundContext, atom: Atom) -> int:
     return cols[atom.index]
 
 
-def evaluate(ctx: FormalContext | CompoundContext, d: Description) -> ObjectSet:
-    """Objects satisfying the description."""
+def _satisfying(ctx: FormalContext | CompoundContext, d: Description) -> int:
+    """Mask of the objects satisfying the description."""
     full = (1 << ctx.n_objects) - 1
     if isinstance(d, Conj):
         m = full
         for a in d.atoms:
             m &= _atom_column(ctx, a)
-        return set_of(m)
+        return m
     if isinstance(d, Disj):
         m = 0
         for a in d.atoms:
             m |= _atom_column(ctx, a)
-        return set_of(m)
+        return m
     if isinstance(d, ConjDisj):
-        if not isinstance(ctx, CompoundContext) or ctx.flavor is not Flavor.COMMON_NECESSARY:
-            raise FlavorMismatch("a two-part description needs a common_necessary compound")
+        _require_flavor(ctx, Flavor.COMMON_NECESSARY, "a two-part description")
         m = full
         for a in d.conj_atoms:
             m &= _atom_column(ctx, a)
         dm = 0
         for a in d.disj_atoms:
             dm |= _atom_column(ctx, a)
-        return set_of(m & dm)
+        return m & dm
     raise TypeError(f"not a description: {d!r}")
+
+
+def evaluate(ctx: FormalContext | CompoundContext, d: Description) -> ObjectSet:
+    """Objects satisfying the description."""
+    return set_of(_satisfying(ctx, d))
 
 
 # ---------------------------------------------------------------------------
@@ -208,68 +206,60 @@ _UNICODE_OPS = {"and": " ∧ ", "or": " ∨ ", "not": "¬"}
 _ASCII_OPS = {"and": " & ", "or": " | ", "not": "!"}
 
 
-def _sorted_atoms(atoms: Iterable[Atom]) -> list[Atom]:
-    return sorted(atoms, key=lambda a: (a.negated, a.block.value, a.index))
-
-
 def render(d: Description, ascii_ops: bool = False) -> str:
-    """Deterministic text form; unicode connectives unless asked otherwise."""
+    """Deterministic text form, atoms in their canonical order; unicode
+    connectives unless asked otherwise."""
     ops = _ASCII_OPS if ascii_ops else _UNICODE_OPS
 
     def atom_text(a: Atom) -> str:
         return (ops["not"] + a.name) if a.negated else a.name
 
     if isinstance(d, Conj):
-        return ops["and"].join(atom_text(a) for a in _sorted_atoms(d.atoms))
+        return ops["and"].join(atom_text(a) for a in d.atoms)
     if isinstance(d, Disj):
-        return ops["or"].join(atom_text(a) for a in _sorted_atoms(d.atoms))
+        return ops["or"].join(atom_text(a) for a in d.atoms)
     if isinstance(d, ConjDisj):
-        conj = ops["and"].join(atom_text(a) for a in _sorted_atoms(d.conj_atoms))
-        disj = ops["or"].join(atom_text(a) for a in _sorted_atoms(d.disj_atoms))
+        conj = ops["and"].join(atom_text(a) for a in d.conj_atoms)
+        disj = ops["or"].join(atom_text(a) for a in d.disj_atoms)
         return f"{conj}{ops['and']}({disj})"
     raise TypeError(f"not a description: {d!r}")
 
 
+# every non-space character starts some token, so scanning with findall
+# loses nothing but whitespace
 _TOKEN = re.compile(r"\s*(\(|\)|∧|∨|¬|&|\||!|[^\s()&|!∧∨¬]+)")
 
 
-def _tokenize(text: str) -> list[str]:
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if text[pos:].strip():
-        raise GranuleDescError(f"cannot tokenize {text[pos:].strip()!r}")
-    return tokens
-
-
 def _resolve(ctx: FormalContext | CompoundContext, name: str, negated: bool) -> Atom:
-    if isinstance(ctx, FormalContext):
-        if negated:
-            raise GranuleDescError("negation needs a three-way compound")
-        try:
-            return Atom(Block.A, ctx.attribute_index(name), name)
-        except KeyError:
-            raise GranuleDescError(f"unknown attribute {name!r}") from None
-    if negated and ctx.flavor is not Flavor.THREE_WAY:
+    plain = isinstance(ctx, FormalContext)
+    if negated and (plain or ctx.flavor is not Flavor.THREE_WAY):
         raise GranuleDescError("negation needs a three-way compound")
-    if name in ctx.a_attributes:
-        return Atom(Block.A, ctx.a_attributes.index(name), name, negated=negated)
-    if name in ctx.b_attributes:
+    a_names = ctx.attributes if plain else ctx.a_attributes
+    if name in a_names:
+        return Atom(Block.A, a_names.index(name), name, negated=negated)
+    if not plain and name in ctx.b_attributes:
         if negated:
             raise GranuleDescError(f"cannot negate complement attribute {name!r}")
         return Atom(Block.B, ctx.b_attributes.index(name), name)
     raise GranuleDescError(f"unknown attribute {name!r}")
 
 
+def _negations(tokens: list[str], i: int) -> tuple[int, bool]:
+    """Skip a run of negation signs from tokens[i]: the next index, and
+    whether any sign was seen."""
+    negated = False
+    while tokens[i] in ("¬", "!"):
+        negated = True
+        i += 1
+        if i >= len(tokens):
+            raise GranuleDescError("dangling negation")
+    return i, negated
+
+
 def parse_description(text: str, ctx: FormalContext | CompoundContext) -> Description:
     """Parse one connective level: atoms joined by all-and or all-or, with
     an optional single parenthesized disjunct inside a conjunction."""
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise GranuleDescError("empty description")
 
@@ -281,13 +271,8 @@ def parse_description(text: str, ctx: FormalContext | CompoundContext) -> Descri
     while i < len(tokens):
         tok = tokens[i]
         if expecting_term:
-            negated = False
-            while tok in ("¬", "!"):
-                negated = True
-                i += 1
-                if i >= len(tokens):
-                    raise GranuleDescError("dangling negation")
-                tok = tokens[i]
+            i, negated = _negations(tokens, i)
+            tok = tokens[i]
             if tok == "(":
                 depth_names: list[tuple[str, bool]] = []
                 if negated:
@@ -297,13 +282,8 @@ def parse_description(text: str, ctx: FormalContext | CompoundContext) -> Descri
                 while i < len(tokens) and tokens[i] != ")":
                     inner = tokens[i]
                     if expect_name:
-                        neg = False
-                        while inner in ("¬", "!"):
-                            neg = True
-                            i += 1
-                            if i >= len(tokens):
-                                raise GranuleDescError("dangling negation")
-                            inner = tokens[i]
+                        i, neg = _negations(tokens, i)
+                        inner = tokens[i]
                         if inner in ("(", ")", "∧", "∨", "&", "|"):
                             raise GranuleDescError(f"expected a name, got {inner!r}")
                         depth_names.append((inner, neg))

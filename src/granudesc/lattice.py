@@ -21,8 +21,8 @@ from granudesc.context import (
     FormalContext,
     complement_context,
 )
-from granudesc.derivation import CnIntent, cn_intent, intent, extent
-from granudesc.errors import FlavorMismatch, SizeGuardExceeded
+from granudesc.derivation import CnIntent, _require_flavor, cn_intent, intent, extent
+from granudesc.errors import SizeGuardExceeded
 
 MAX_ENUMERATION_ATTRIBUTES = 30
 MAX_CN_OBJECTS = 20
@@ -113,6 +113,7 @@ def _lattice_from_pairs(
 
 def enumerate_formal(ctx: FormalContext, force: bool = False) -> ConceptLattice:
     """All maximal object/attribute rectangles of the table."""
+    _require_flavor(ctx, None, "enumerate_formal")
     _guard_attributes(ctx.n_attributes, force)
     pairs = _kernel.formal_concepts(ctx.column_masks, ctx.n_objects)
     return _lattice_from_pairs(pairs, ctx, System.FORMAL)
@@ -121,6 +122,7 @@ def enumerate_formal(ctx: FormalContext, force: bool = False) -> ConceptLattice:
 def enumerate_object_oriented(ctx: FormalContext, force: bool = False) -> ConceptLattice:
     """All pairs where the extent is the union of its intent's extents and
     the intent collects every attribute extent inside the granule."""
+    _require_flavor(ctx, None, "enumerate_object_oriented")
     _guard_attributes(ctx.n_attributes, force)
     comp = complement_context(ctx)
     full = ctx.full_object_mask
@@ -132,8 +134,7 @@ def enumerate_object_oriented(ctx: FormalContext, force: bool = False) -> Concep
 
 def enumerate_three_way(cctx: CompoundContext, force: bool = False) -> ConceptLattice:
     """Formal concepts over the flattened attribute-and-complement table."""
-    if cctx.flavor is not Flavor.THREE_WAY:
-        raise FlavorMismatch("enumerate_three_way needs a three_way compound")
+    _require_flavor(cctx, Flavor.THREE_WAY, "enumerate_three_way")
     flat = cctx.flattened
     _guard_attributes(flat.n_attributes, force)
     pairs = _kernel.formal_concepts(flat.column_masks, flat.n_objects)
@@ -147,8 +148,7 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
     b-extents covers it without touching the a-part closure outside it.
     No order structure is claimed for this family.
     """
-    if cctx.flavor is not Flavor.COMMON_NECESSARY:
-        raise FlavorMismatch("enumerate_cn needs a common_necessary compound")
+    _require_flavor(cctx, Flavor.COMMON_NECESSARY, "enumerate_cn")
     n = cctx.n_objects
     if n > MAX_CN_OBJECTS and not force:
         raise SizeGuardExceeded(
@@ -223,16 +223,14 @@ def _object_names(concept: Concept) -> list[str]:
 
 def intent_names(concept: Concept) -> list[str]:
     """Attribute names of the intent; flat a-then-b for two-part intents."""
-    ctx = concept.context
-    if isinstance(concept.intent, CnIntent):
-        assert isinstance(ctx, CompoundContext)
-        return [ctx.a_attributes[j] for j in sorted(concept.intent.a_part)] + [
-            ctx.b_attributes[j] for j in sorted(concept.intent.b_part)
-        ]
-    if isinstance(ctx, CompoundContext):
-        flat = ctx.a_attributes + ctx.b_attributes
-        return [flat[j] for j in sorted(concept.intent)]
-    return [ctx.attributes[j] for j in sorted(concept.intent)]
+    ctx, idx = concept.context, concept.intent
+    if isinstance(ctx, FormalContext):
+        return [ctx.attributes[j] for j in sorted(idx)]
+    if isinstance(idx, CnIntent):  # b-part indices follow the a-block when flattened
+        n = len(ctx.a_attributes)
+        idx = idx.a_part | {n + j for j in idx.b_part}
+    flat = ctx.a_attributes + ctx.b_attributes
+    return [flat[j] for j in sorted(idx)]
 
 
 def _braced(names: list[str], ascii_ops: bool) -> str:

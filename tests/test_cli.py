@@ -61,6 +61,18 @@ def test_validate_flags_broken_input(capsys, tmp_path) -> None:
     assert err.startswith("error:") and "line" in err
 
 
+def test_validate_plain_json_naming_an_attribute_flavor(capsys, tmp_path) -> None:
+    # only a top-level "flavor" key marks a compound
+    path = tmp_path / "plain.json"
+    path.write_text(
+        '{"objects": ["o1", "o2"], "attributes": ["flavor", "size"], '
+        '"incidence": [[1, 0], [1, 1]]}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out, err) == (0, "ok: 2 objects, 2 attributes, 3 incidences\n", "")
+
+
 def test_missing_input_file(capsys, tmp_path) -> None:
     code, _, err = run(capsys, ["validate", str(tmp_path / "absent.cxt")])
     assert code == 2 and err.startswith("error:")
@@ -339,7 +351,7 @@ def test_approx_upper_wedge(capsys) -> None:
         capsys,
         [
             "approx", TABLE6, "--granule", "4,5,6", "--mode", "wedge",
-            "--direction", "upper", "--all",
+            "--direction", "upper",
         ],
     )
     assert code == 0

@@ -113,6 +113,21 @@ def test_json_field_errors() -> None:
         parse_compound("[1, 2]")
 
 
+def test_cxt_with_crlf_line_ends_parses_like_lf(table1: FormalContext) -> None:
+    text = load_text("table1.cxt")
+    assert "\r" not in text
+    assert parse_context(text.replace("\n", "\r\n")) == table1
+
+
+def test_json_cells_must_be_integer_or_boolean() -> None:
+    shape = '{{"objects": ["1", "2"], "attributes": ["a"], "incidence": [[{}], [{}]]}}'
+    assert parse_context(shape.format(1, 0)) == parse_context(shape.format("true", "false"))
+    for cell in ("1.0", "0.0", '"1"', "null"):
+        with pytest.raises(ContextFormatError) as err:
+            parse_context(shape.format(cell, 0))
+        assert str(err.value) == "field 'incidence', row 1 must hold 0/1 cells"
+
+
 def test_constructor_rejects_bad_shapes() -> None:
     with pytest.raises(ContextFormatError):
         FormalContext(("1", "1"), ("a",), ((True,), (False,)))

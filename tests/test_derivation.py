@@ -156,6 +156,51 @@ def test_cn_ops_reject_three_way_flavor(table3: CompoundContext) -> None:
         cn_extent(table3, CnIntent(frozenset(), frozenset()))
 
 
+# (entry point, the fixture it is wrongly given, further arguments)
+WRONG_KIND = [
+    ("is_three_way_definable", "table1", ()),
+    ("is_cn_definable", "table1", ()),
+    ("upper_three_way", "table1", ()),
+    ("lower_three_way", "table1", ()),
+    ("upper_cn", "table1", ()),
+    ("enumerate_three_way", "table1", None),
+    ("enumerate_cn", "table1", None),
+    ("three_way_conj", "table1", ()),
+    ("conj_disj", "table1", ({0},)),
+    ("is_wedge_definable", "table3", ()),
+    ("is_vee_definable", "table5", ()),
+    ("is_vee_definable_via_complement", "table5", ()),
+    ("find_covering_elements", "table3", ()),
+    ("upper_wedge", "table5", ()),
+    ("lower_wedge", "table3", ()),
+    ("upper_vee", "table3", ()),
+    ("lower_vee", "table5", ()),
+    ("enumerate_formal", "table3", None),
+    ("enumerate_object_oriented", "table5", None),
+    ("intent", "table3", ()),
+    ("extent", "table5", ()),
+    ("minimal_descriptions", "table1", ("cn",)),
+    ("minimal_descriptions", "table1", ("three_way",)),
+    ("minimal_descriptions", "table5", ("wedge",)),
+    ("intersect_descriptions", "table1", ({0}, "three_way")),
+    ("union_vee_descriptions", "table3", ({0},)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fixture, rest",
+    WRONG_KIND,
+    ids=[f"{n}-{f}-{r[-1] if r else ''}" for n, f, r in WRONG_KIND],
+)
+def test_wrong_context_kind_raises_flavor_mismatch(request, name, fixture, rest) -> None:
+    import granudesc
+
+    ctx = request.getfixturevalue(fixture)
+    args = (ctx,) if rest is None else (ctx, {0}, *rest)
+    with pytest.raises(FlavorMismatch, match=name):
+        getattr(granudesc, name)(*args)
+
+
 # ---------------------------------------------------------------------------
 # derivation laws on random contexts
 # ---------------------------------------------------------------------------
