@@ -1,14 +1,18 @@
-"""Portable bitset kernels.
+"""Bitset kernels.
 
-Reference implementations of the two inner loops the package spends its
-time in: closure enumeration over a binary relation and inclusion-minimal
-union covers.  Masks are plain Python integers, so any context size works;
-the compiled twin in ``_fast`` handles the <=64x64 case.
+The two inner loops the package spends its time in: closure enumeration
+over a binary relation and inclusion-minimal union covers.  Masks are
+plain Python integers, so any context size works.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+
+def backend_name() -> str:
+    """The kernel in use; the package ships only the portable one."""
+    return "pure"
 
 
 def formal_concepts(cols: Sequence[int], n_objects: int) -> list[tuple[int, int]]:

@@ -179,10 +179,8 @@ def _cmd_concepts(args: argparse.Namespace) -> int:
     rule = next((r for r in _RULES.values() if r.family == variant), None)
     if rule is None:
         raise _CliError(f"unknown variant {args.variant!r}")
-    # --compound names the second block of the cn variant only
-    compound = args.compound if rule.flavor is Flavor.COMMON_NECESSARY else None
     what = f"variant {variant.replace('_', '-')}"
-    ctx = _context_for(loaded, rule.flavor, compound, what)
+    ctx = _context_for(loaded, rule.flavor, args.compound, what)
     family = getattr(lattice, f"enumerate_{variant}")(ctx, args.force)
     if isinstance(family, lattice.ConceptLattice):
         concepts = family.concepts

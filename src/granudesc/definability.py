@@ -180,10 +180,14 @@ _RULES: dict[Mode, _Rule] = {
 def _enter(
     mode: Mode, ctx: FormalContext | CompoundContext, objects: Iterable[int], op: str
 ) -> tuple[_Rule, Any, int]:
-    """Check the context kind and the object indices once, at entry."""
+    """Check the context kind, the object indices and, where the mode
+    needs one, a non-empty granule once, at entry."""
     rule = _RULES[mode]
     _require_flavor(ctx, rule.flavor, op)
-    return rule, rule.table(ctx), object_mask(ctx, objects)
+    x = object_mask(ctx, objects)
+    if rule.needs_granule and not x:
+        raise ValueError(f"{op} needs a non-empty granule")
+    return rule, rule.table(ctx), x
 
 
 def _closure(
@@ -194,8 +198,6 @@ def _closure(
     Raises ``Inapplicable`` when the mode's premise fails.
     """
     rule, t, x = _enter(mode, ctx, objects, op)
-    if rule.needs_granule and not x:
-        raise ValueError(f"{op} needs a non-empty granule")
     attrs = rule.derive(t, x)
     if not attrs:
         raise Inapplicable(Reason.EMPTY_INTENT, "the granule shares no attribute")

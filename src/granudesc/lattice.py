@@ -15,12 +15,7 @@ from collections.abc import Sequence
 
 from granudesc import _kernel
 from granudesc._bits import is_subset, mask_of, set_of
-from granudesc.context import (
-    CompoundContext,
-    Flavor,
-    FormalContext,
-    complement_context,
-)
+from granudesc.context import CompoundContext, Flavor, FormalContext
 from granudesc.derivation import CnIntent, _require_flavor, cn_intent, intent, extent
 from granudesc.errors import SizeGuardExceeded
 
@@ -124,9 +119,9 @@ def enumerate_object_oriented(ctx: FormalContext, force: bool = False) -> Concep
     the intent collects every attribute extent inside the granule."""
     _require_flavor(ctx, None, "enumerate_object_oriented")
     _guard_attributes(ctx.n_attributes, force)
-    comp = complement_context(ctx)
     full = ctx.full_object_mask
-    pairs = _kernel.formal_concepts(comp.column_masks, ctx.n_objects)
+    comp = [full & ~c for c in ctx.column_masks]
+    pairs = _kernel.formal_concepts(comp, ctx.n_objects)
     return _lattice_from_pairs(
         pairs, ctx, System.OBJECT_ORIENTED, map_extent=lambda m: full & ~m
     )

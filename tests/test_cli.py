@@ -135,6 +135,22 @@ def test_concepts_other_variants(capsys) -> None:
             "system": "common_necessary"} in payload
 
 
+@pytest.mark.parametrize(
+    ("variant", "message"),
+    [
+        ("formal", "error: variant formal takes no --compound\n"),
+        ("object-oriented", "error: variant object-oriented takes no --compound\n"),
+        ("three-way", "error: three-way mode derives its compound; drop --compound\n"),
+    ],
+)
+def test_concepts_rejects_compound_outside_cn(capsys, variant, message) -> None:
+    code, out, err = run(
+        capsys,
+        ["concepts", TABLE1, "--variant", variant, "--compound", TABLE5_B],
+    )
+    assert (code, out, err) == (2, "", message)
+
+
 def test_concepts_cn_has_no_dot_form(capsys) -> None:
     code, _, err = run(
         capsys,

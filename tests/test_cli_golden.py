@@ -6,8 +6,10 @@ recorded in process before the mode dispatch was rebuilt around one
 table of modes.  It covers ``define`` (with and without ``--minimal``)
 in every mode, ``approx`` for every direction and mode, ``concepts`` for
 every variant, text/json/dot and ``--ascii`` output, the context-kind
-errors, ``convert`` and ``validate``.  File arguments are stored as
-names inside ``tests/data``.
+errors, ``convert`` and ``validate``.  One record was updated later, on
+purpose: ``concepts --variant three-way --compound ...`` now exits 2,
+as ``--compound`` is refused by every variant but cn.  File arguments
+are stored as names inside ``tests/data``.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from granudesc import (
     Inapplicable,
     Reason,
     Status,
+    cn_intent,
     evaluate,
     find_covering_elements,
     intersect_descriptions,
@@ -26,6 +27,7 @@ from granudesc import (
     minimal_descriptions,
     render,
     union_vee_descriptions,
+    upper_cn,
 )
 
 from . import oracles
@@ -409,6 +411,20 @@ def test_minimal_cn_descriptions(table5) -> None:
         for d in minimal_descriptions(table5, objs(table5, "2", "3", "7"), "cn")
     ]
     assert got == ["a1 ∧ (b4)", "a1 ∧ (b1 ∨ b3)", "a1 ∧ (b2 ∨ b3)"]
+
+
+@pytest.mark.parametrize(
+    ("entry", "call"),
+    [
+        ("is_cn_definable", is_cn_definable),
+        ("upper_cn", upper_cn),
+        ("cn_intent", cn_intent),
+        ("minimal_descriptions", lambda c, x: minimal_descriptions(c, x, "cn")),
+    ],
+)
+def test_cn_entry_points_refuse_the_empty_granule(table5, entry, call) -> None:
+    with pytest.raises(ValueError, match=f"^{entry} needs a non-empty granule$"):
+        call(table5, frozenset())
 
 
 def test_minimal_descriptions_evaluate_back(table1, table3, table5) -> None:

@@ -1,45 +1,14 @@
-"""Bitset kernels: pure/compiled agreement and dispatch rules."""
+"""Bitset kernels: edge shapes and wide inputs."""
 
 from __future__ import annotations
 
-import os
-import random
-import subprocess
-import sys
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 import granudesc
 from granudesc import _kernel
-from granudesc._kernel import _pure
-
-HAVE_FAST = _kernel._fast is not None
-
-needs_fast = pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
 
 
 def test_backend_name_is_exported() -> None:
     assert granudesc.backend_name is _kernel.backend_name
-    assert granudesc.backend_name() in {"pure", "compiled"}
-
-
-@needs_fast
-def test_compiled_backend_selected_when_present() -> None:
-    assert _kernel.backend_name() == "compiled"
-
-
-def test_env_var_forces_pure_backend() -> None:
-    code = "import granudesc; print(granudesc.backend_name())"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, GRANUDESC_PURE="1"),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout == "pure\n"
+    assert granudesc.backend_name() == "pure"
 
 
 # ---------------------------------------------------------------------------
@@ -48,35 +17,18 @@ def test_env_var_forces_pure_backend() -> None:
 
 
 def test_concept_enumeration_edge_shapes() -> None:
-    assert _pure.formal_concepts([], 3) == [(0b111, 0)]
-    assert _pure.formal_concepts([0, 0], 0) == [(0, 0b11)]
-    assert _pure.formal_concepts([0b001, 0b010, 0b100], 3) == [
+    assert _kernel.formal_concepts([], 3) == [(0b111, 0)]
+    assert _kernel.formal_concepts([0, 0], 0) == [(0, 0b11)]
+    assert _kernel.formal_concepts([0b001, 0b010, 0b100], 3) == [
         (7, 0), (4, 4), (2, 2), (1, 1), (0, 7),
     ]
 
 
 def test_enumeration_starts_at_top() -> None:
     # attr0 holds everywhere, so the top intent is not empty
-    out = _pure.formal_concepts([0b11, 0b01], 2)
+    out = _kernel.formal_concepts([0b11, 0b01], 2)
     assert out[0] == (0b11, 0b01)
     assert len(out) == len(set(out))
-
-
-@needs_fast
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_objects=st.integers(0, 7),
-    n_attributes=st.integers(0, 7),
-)
-@settings(max_examples=200, deadline=None)
-def test_backends_agree_on_concepts(
-    seed: int, n_objects: int, n_attributes: int
-) -> None:
-    rng = random.Random(seed)
-    cols = [rng.getrandbits(n_objects) for _ in range(n_attributes)]
-    assert _kernel._fast.formal_concepts(cols, n_objects) == _pure.formal_concepts(
-        cols, n_objects
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -85,59 +37,30 @@ def test_backends_agree_on_concepts(
 
 
 def test_cover_edge_shapes() -> None:
-    assert _pure.minimal_cover_unions([], 0, False) == [0]
-    assert _pure.minimal_cover_unions([], 0b1, False) == []
+    assert _kernel.minimal_cover_unions([], 0, False) == [0]
+    assert _kernel.minimal_cover_unions([], 0b1, False) == []
     # strict covers of the empty target are the minimal nonempty unions
-    assert _pure.minimal_cover_unions([0b01, 0b10], 0, True) == [0b01, 0b10]
-    assert _pure.minimal_cover_unions([0b01, 0b11], 0b01, True) == [0b11]
-
-
-@needs_fast
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    width=st.integers(1, 7),
-    strict=st.booleans(),
-)
-@settings(max_examples=200, deadline=None)
-def test_backends_agree_on_covers(seed: int, width: int, strict: bool) -> None:
-    rng = random.Random(seed)
-    cands = [rng.getrandbits(width) for _ in range(rng.randint(0, 7))]
-    target = rng.getrandbits(width)
-    assert _kernel.minimal_cover_unions(
-        cands, target, strict
-    ) == _pure.minimal_cover_unions(cands, target, strict)
+    assert _kernel.minimal_cover_unions([0b01, 0b10], 0, True) == [0b01, 0b10]
+    assert _kernel.minimal_cover_unions([0b01, 0b11], 0b01, True) == [0b11]
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# masks wider than a machine word
 # ---------------------------------------------------------------------------
 
 
 def test_wide_inputs_use_the_portable_path() -> None:
-    # 65 objects exceeds the compiled word size; both entry points must
-    # still answer, and answer the same as the portable code
+    # 65 objects and a 71-bit target: masks are Python integers, so
+    # closure enumeration and cover search answer at any width
     n = 65
     cols = [(1 << n) - 1, 1 << 64, 0b1]
-    assert _kernel.formal_concepts(cols, n) == _pure.formal_concepts(cols, n)
+    assert _kernel.formal_concepts(cols, n) == [
+        ((1 << n) - 1, 0b001),
+        (0b1, 0b101),
+        (1 << 64, 0b011),
+        (0, 0b111),
+    ]
 
     cands = [1 << 70, 0b1, (1 << 70) | 0b1]
     target = (1 << 70) | 0b1
-    assert _kernel.minimal_cover_unions(cands, target) == _pure.minimal_cover_unions(
-        cands, target
-    )
     assert _kernel.minimal_cover_unions(cands, target) == [(1 << 70) | 0b1]
-
-
-def test_dispatch_never_mixes_results(monkeypatch) -> None:
-    calls: list[str] = []
-    real = _pure.formal_concepts
-
-    def spy(cols, n_objects):
-        calls.append("pure")
-        return real(cols, n_objects)
-
-    monkeypatch.setattr(_pure, "formal_concepts", spy)
-    monkeypatch.setattr(_kernel, "_fast", None)
-    assert _kernel.backend_name() == "pure"
-    _kernel.formal_concepts([0b1], 1)
-    assert calls == ["pure"]
