@@ -36,7 +36,6 @@ from granudesc.context import (
     Flavor,
     FormalContext,
     ObjectSet,
-    complement_context,
 )
 from granudesc.derivation import (
     _cn_b_part,
@@ -47,8 +46,6 @@ from granudesc.derivation import (
     _necessity,
     _possibility,
     _require_flavor,
-    extent,
-    intent,
     object_mask,
 )
 from granudesc.errors import Inapplicable
@@ -272,17 +269,22 @@ def is_vee_definable_via_complement(
     """
     _require_flavor(ctx, None, "is_vee_definable_via_complement")
     x = object_mask(ctx, objects)
-    comp = complement_context(ctx)
-    everything = frozenset(range(ctx.n_objects))
-    rest = everything - set_of(x)
-    shared = intent(comp, rest)
+    full = ctx.full_object_mask
+    rest = full & ~x
+    # intent of the rest over the complemented rows
+    shared = ctx.full_attribute_mask
+    for i in bits(rest):
+        shared &= ~ctx.row_masks[i]
     if not shared:
         return Verdict(Status.INAPPLICABLE, reason=Reason.EMPTY_INTENT)
-    closure = extent(comp, shared)
+    # and its extent over the complemented columns
+    closure = full
+    for j in bits(shared):
+        closure &= ~ctx.column_masks[j]
     if closure == rest:
-        d = _self_check(ctx, x, disj_of(ctx, shared))
+        d = _self_check(ctx, x, disj_of(ctx, bits(shared)))
         return Verdict(Status.DEFINABLE, description=d)
-    return Verdict(Status.INDEFINABLE, witness=everything - closure)
+    return Verdict(Status.INDEFINABLE, witness=set_of(full & ~closure))
 
 
 def is_cn_definable(cctx: CompoundContext, objects: Iterable[int]) -> Verdict:

@@ -14,7 +14,7 @@ from enum import Enum
 from collections.abc import Sequence
 
 from granudesc import _kernel
-from granudesc._bits import is_subset, mask_of, set_of
+from granudesc._bits import set_of
 from granudesc.context import CompoundContext, Flavor, FormalContext
 from granudesc.derivation import CnIntent, _require_flavor, cn_intent, intent, extent
 from granudesc.errors import SizeGuardExceeded
@@ -68,109 +68,111 @@ def _guard_attributes(count: int, force: bool) -> None:
         )
 
 
-def _canonical(concepts: list[Concept]) -> tuple[Concept, ...]:
-    return tuple(sorted(concepts, key=Concept.sort_key))
+def _lower_neighbours(
+    pairs: Sequence[tuple[int, int]], cols: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Cover edges (upper index, lower index) between kernel concepts.
 
-
-def _cover_edges(concepts: Sequence[Concept]) -> tuple[tuple[int, int], ...]:
-    masks = [mask_of(c.extent) for c in concepts]
+    Lindig's neighbour test on the attribute side: below (A, B), every
+    attribute j outside B gives the extent e = A & cols[j], and e is a
+    lower neighbour exactly when the number of such j equals the number
+    of attributes its intent adds to B.  Fewer means some attribute of
+    that intent gives a larger extent in between.
+    """
+    index = {ext: k for k, (ext, _) in enumerate(pairs)}
     edges = []
-    for child in range(len(concepts)):
-        parents = [
-            p
-            for p in range(len(concepts))
-            if masks[p] != masks[child] and is_subset(masks[child], masks[p])
-        ]
-        minimal = [
-            p
-            for p in parents
-            if not any(
-                q != p and is_subset(masks[q], masks[p]) for q in parents
-            )
-        ]
-        edges.extend((p, child) for p in minimal)
-    return tuple(sorted(edges))
+    for k, (ext, att) in enumerate(pairs):
+        hits: dict[int, int] = {}
+        for j, col in enumerate(cols):
+            if not att >> j & 1:
+                e = ext & col
+                hits[e] = hits.get(e, 0) + 1
+        for e, count in hits.items():
+            low = index[e]
+            if count == bin(pairs[low][1] & ~att).count("1"):
+                edges.append((k, low))
+    return edges
 
 
-def _lattice_from_pairs(
-    pairs: list[tuple[int, int]],
+def _lattice(
+    cols: Sequence[int],
     ctx: FormalContext | CompoundContext,
     system: System,
-    map_extent=lambda m: m,
+    force: bool,
+    complemented: bool = False,
 ) -> ConceptLattice:
+    """Canonical lattice of the formal concepts over the columns ``cols``.
+
+    With ``complemented`` the columns are complements and every extent is
+    flipped back, which reverses inclusion and so every cover edge.
+    """
+    _guard_attributes(len(cols), force)
+    pairs = _kernel.formal_concepts(cols, ctx.n_objects)
+    full = (1 << ctx.n_objects) - 1
     concepts = [
-        Concept(set_of(map_extent(ext)), set_of(att), system, ctx)
+        Concept(set_of(full & ~ext if complemented else ext), set_of(att), system, ctx)
         for ext, att in pairs
     ]
-    ordered = _canonical(concepts)
-    return ConceptLattice(ordered, _cover_edges(ordered), system)
+    order = sorted(range(len(concepts)), key=lambda k: concepts[k].sort_key())
+    pos = {k: p for p, k in enumerate(order)}
+    edges = _lower_neighbours(pairs, cols)
+    if complemented:
+        edges = [(low, up) for up, low in edges]
+    covers = tuple(sorted((pos[up], pos[low]) for up, low in edges))
+    return ConceptLattice(tuple(concepts[k] for k in order), covers, system)
 
 
 def enumerate_formal(ctx: FormalContext, force: bool = False) -> ConceptLattice:
     """All maximal object/attribute rectangles of the table."""
     _require_flavor(ctx, None, "enumerate_formal")
-    _guard_attributes(ctx.n_attributes, force)
-    pairs = _kernel.formal_concepts(ctx.column_masks, ctx.n_objects)
-    return _lattice_from_pairs(pairs, ctx, System.FORMAL)
+    return _lattice(ctx.column_masks, ctx, System.FORMAL, force)
 
 
 def enumerate_object_oriented(ctx: FormalContext, force: bool = False) -> ConceptLattice:
     """All pairs where the extent is the union of its intent's extents and
     the intent collects every attribute extent inside the granule."""
     _require_flavor(ctx, None, "enumerate_object_oriented")
-    _guard_attributes(ctx.n_attributes, force)
     full = ctx.full_object_mask
     comp = [full & ~c for c in ctx.column_masks]
-    pairs = _kernel.formal_concepts(comp, ctx.n_objects)
-    return _lattice_from_pairs(
-        pairs, ctx, System.OBJECT_ORIENTED, map_extent=lambda m: full & ~m
-    )
+    return _lattice(comp, ctx, System.OBJECT_ORIENTED, force, complemented=True)
 
 
 def enumerate_three_way(cctx: CompoundContext, force: bool = False) -> ConceptLattice:
     """Formal concepts over the flattened attribute-and-complement table."""
     _require_flavor(cctx, Flavor.THREE_WAY, "enumerate_three_way")
-    flat = cctx.flattened
-    _guard_attributes(flat.n_attributes, force)
-    pairs = _kernel.formal_concepts(flat.column_masks, flat.n_objects)
-    return _lattice_from_pairs(pairs, cctx, System.THREE_WAY)
+    return _lattice(cctx.flattened.column_masks, cctx, System.THREE_WAY, force)
 
 
 def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
     """All fixed points of the two-part derivation pair.
 
-    Scans the non-empty granules; a granule qualifies when some union of
-    b-extents covers it without touching the a-part closure outside it.
-    No order structure is claimed for this family.
+    The fixed points are the non-empty unions of b-extents cut down to an
+    a-block concept extent g, the traces ``col & g``.  A union of the
+    traces of g closes to a smaller extent g' at most, and its traces are
+    traces of g' as well, so every union built is a fixed point; a set
+    removes those reached from more than one g.  No order structure is
+    claimed for this family.
     """
     _require_flavor(cctx, Flavor.COMMON_NECESSARY, "enumerate_cn")
     n = cctx.n_objects
     if n > MAX_CN_OBJECTS and not force:
         raise SizeGuardExceeded(
-            f"fixed-point scan over {n} objects exceeds the guard of "
+            f"cn enumeration over {n} objects exceeds the guard of "
             f"{MAX_CN_OBJECTS}; pass force/--force to run anyway"
         )
-    a_cols = cctx.a_block.column_masks
-    b_cols = [c for c in cctx.b_block.column_masks if c]
-    full = cctx.a_block.full_object_mask
-    found = []
-    for x in range(1, full + 1):
-        g = full
-        for col in a_cols:
-            if is_subset(x, col):
-                g &= col
-        outside = g & ~x
-        y = 0
-        for col in b_cols:
-            if col & outside == 0:
-                y |= col
-        if is_subset(x, y):
-            found.append(x)
+    b_cols = cctx.b_block.column_masks
+    found: set[int] = set()
+    for g, _ in _kernel.formal_concepts(cctx.a_block.column_masks, n):
+        unions = {0}
+        for t in {col & g for col in b_cols} - {0}:
+            unions |= {u | t for u in unions}
+        found |= unions
+    found.discard(0)
     concepts = [
         Concept(set_of(x), cn_intent(cctx, set_of(x)), System.COMMON_NECESSARY, cctx)
         for x in found
     ]
-    return list(_canonical(concepts))
+    return sorted(concepts, key=Concept.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,30 @@ def cn_fixed_points(
     return {c & d for c in conjs for d in disjs} - {frozenset()}
 
 
+def cn_fixed_points_scan(
+    a_columns: list[frozenset[int]],
+    b_columns: list[frozenset[int]],
+    n_objects: int,
+) -> set[frozenset[int]]:
+    """Nonempty granules that some b-extents cover without touching the
+    rest of the granule's a-closure, found by scanning every granule.
+
+    The a-closure is the intersection of the a-columns containing the
+    granule (every object when none does).
+    """
+    universe = frozenset(range(n_objects))
+    found = set()
+    for r in range(1, n_objects + 1):
+        for chosen in combinations(range(n_objects), r):
+            x = frozenset(chosen)
+            g = universe.intersection(*(c for c in a_columns if x <= c))
+            outside = g - x
+            reach = frozenset().union(*(c for c in b_columns if not c & outside))
+            if x <= reach:
+                found.add(x)
+    return found
+
+
 def formal_concepts_bruteforce(
     incidence: tuple[tuple[bool, ...], ...],
 ) -> set[tuple[frozenset[int], frozenset[int]]]:
@@ -96,6 +120,24 @@ def formal_concepts_bruteforce(
             if closed_ext == ext:
                 out.add((ext, intent))
     return out
+
+
+def cover_edges_bruteforce(
+    extents: list[frozenset[int]],
+) -> tuple[tuple[int, int], ...]:
+    """Hasse diagram of a list of extents under inclusion, pair by pair.
+
+    Returns sorted (upper index, lower index) pairs where the lower extent
+    lies strictly inside the upper one and no listed extent lies strictly
+    between them.
+    """
+    edges = []
+    for low, e in enumerate(extents):
+        above = [up for up, f in enumerate(extents) if e < f]
+        for up in above:
+            if not any(e < extents[mid] < extents[up] for mid in above):
+                edges.append((up, low))
+    return tuple(sorted(edges))
 
 
 def maximal_strict_subsets(

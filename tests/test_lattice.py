@@ -41,6 +41,7 @@ from granudesc.lattice import (
     intent_names,
     lattice_to_dot,
 )
+from granudesc import _kernel, lattice
 
 from . import oracles
 from .conftest import objs, random_cn_context, random_context
@@ -249,11 +250,68 @@ def test_cn_enumeration_matches_bruteforce(
         n_obj,
     )
     assert got == want
+    assert got == oracles.cn_fixed_points_scan(
+        oracles.column_extents(cctx.a_incidence),
+        oracles.column_extents(cctx.b_incidence),
+        n_obj,
+    )
 
 
 def test_cn_rejects_three_way_flavor(table3) -> None:
     with pytest.raises(FlavorMismatch):
         enumerate_cn(table3)
+
+
+# ---------------------------------------------------------------------------
+# cover edges
+# ---------------------------------------------------------------------------
+
+
+def _assert_covers_match_bruteforce(ctx: FormalContext) -> None:
+    for lat in (
+        enumerate_formal(ctx),
+        enumerate_object_oriented(ctx),
+        enumerate_three_way(appose_negation(ctx)),
+    ):
+        want = oracles.cover_edges_bruteforce([c.extent for c in lat.concepts])
+        assert lat.covers == want, lat.system
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obj=st.integers(1, 6),
+    n_att=st.integers(1, 6),
+    density=st.sampled_from([0.2, 0.5, 0.8]),
+)
+@settings(max_examples=100, deadline=None)
+def test_cover_edges_match_bruteforce(
+    seed: int, n_obj: int, n_att: int, density: float
+) -> None:
+    _assert_covers_match_bruteforce(
+        random_context(random.Random(seed), n_obj, n_att, density)
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((0, 0), (0, 0)), ((1, 1), (1, 1)), ((1,),), ((0,),)],
+    ids=["all_zeros", "all_ones", "single_one", "single_zero"],
+)
+def test_cover_edges_on_edge_shapes(rows) -> None:
+    ctx = FormalContext(
+        tuple(f"o{i}" for i in range(len(rows))),
+        tuple(f"a{j}" for j in range(len(rows[0]))),
+        rows,
+    )
+    _assert_covers_match_bruteforce(ctx)
+
+
+@pytest.mark.parametrize("n_objects", [0, 1, 3])
+def test_neighbour_edges_without_attributes(n_objects: int) -> None:
+    # a table needs an attribute, so the empty column list is checked on masks
+    pairs = _kernel.formal_concepts([], n_objects)
+    assert pairs == [((1 << n_objects) - 1, 0)]
+    assert lattice._lower_neighbours(pairs, []) == []
 
 
 # ---------------------------------------------------------------------------
