@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from granudesc._bits import bits
+
 
 def backend_name() -> str:
     """The kernel in use; the package ships only the portable one."""
@@ -70,32 +72,31 @@ def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False
     A union qualifies when it contains ``target``; with ``strict`` it must
     contain it properly.  Result is duplicate-free, sorted by (popcount,
     mask value).  Empty candidates never change a union and are ignored.
+
+    Both modes run one search.  When ``target`` is not itself a union the
+    minimal covers already contain it properly.  When it is, every union
+    properly above it holds some candidate ``c`` reaching outside it, and
+    so contains the union ``target | c``: the one-step unions are the only
+    ones the antichain has to compare.  Candidates disjoint from
+    ``target`` never join a minimal cover, but they stay in the pool:
+    a step by one of them can be a minimal strict union.
     """
     pool = [c for c in cands if c]
-    if not strict:
-        found = _covering_unions(pool, target)
-    else:
-        total = 0
-        for c in pool:
-            total |= c
-        found = []
-        extra = total & ~target
-        while extra:
-            low = extra & -extra
-            found.extend(_covering_unions(pool, target | low))
-            extra ^= low
+    found = _covering_unions(pool, target)
+    if strict and target in found:
+        found = [target | c for c in pool if c & ~target]
     return _minimal_antichain(found)
 
 
 def _covering_unions(pool: list[int], target: int) -> list[int]:
-    """All candidate unions containing target that no branch can shrink."""
-    if target == 0:
-        return [0]
-    total = 0
-    for c in pool:
-        total |= c
-    if target & ~total:
-        return []
+    """All candidate unions containing target that no branch can shrink.
+
+    The search branches on the uncovered object with the fewest covers,
+    and a branch sets aside only the covers of that object tried before
+    it.  An uncovered object whose covers all lay among those would have
+    had fewer covers, so no object loses its last cover; an object with
+    none leaves its node without a branch.
+    """
     found: list[int] = []
 
     def rec(pu: int, avail: list[int]) -> None:
@@ -103,32 +104,12 @@ def _covering_unions(pool: list[int], target: int) -> list[int]:
         if rem == 0:
             found.append(pu)
             return
-        reach = pu
-        for c in avail:
-            reach |= c
-        if rem & ~reach:
-            return
-        # branch on the uncovered object with the fewest remaining covers
-        best_u = -1
-        best_cnt = len(avail) + 1
-        r = rem
-        while r:
-            low = r & -r
-            u = low.bit_length() - 1
-            cnt = 0
-            for c in avail:
-                if c >> u & 1:
-                    cnt += 1
-            if cnt < best_cnt:
-                best_cnt = cnt
-                best_u = u
-            r ^= low
-        covers = [k for k, c in enumerate(avail) if c >> best_u & 1]
-        for pos, k in enumerate(covers):
+        u = min(bits(rem), key=lambda v: sum(c >> v & 1 for c in avail))
+        covers = [c for c in avail if c >> u & 1]
+        rest = [c for c in avail if not c >> u & 1]
+        for pos, c in enumerate(covers):
             # skipping earlier covers of the same object avoids revisits
-            banned = set(covers[:pos])
-            banned.add(k)
-            rec(pu | avail[k], [c for j, c in enumerate(avail) if j not in banned])
+            rec(pu | c, covers[pos + 1:] + rest)
 
     rec(0, pool)
     return found

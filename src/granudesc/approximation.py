@@ -137,12 +137,17 @@ def _lower(
 ) -> Approximation:
     """Maximal definable proper subsets in a conjunctive mode.
 
-    Complement extents that meet the complement of the granule are the
-    natural cover candidates; candidates disjoint from it are still
-    admitted to the search (they can only matter when the granule itself
-    is definable) so that every maximal definable proper subset is found.
-    The reported attribute set sticks to the meeting candidates whenever
-    they generate the union.
+    The complement of each such subset is a minimal union of complement
+    extents that properly contains the complement of the granule.  When
+    the granule is not definable, the kernel's minimal covers of that
+    complement are these unions.  When it is definable, its complement is
+    itself a union, and each maximal proper subset is the granule minus
+    one complement extent that meets it: the kernel compares these
+    one-step unions only.  Complement extents inside the granule (disjoint
+    from the search target) therefore stay in the pool; they never join a
+    minimal cover, but removing one of them from a definable granule can
+    be the largest step down.  The reported attribute set sticks to the
+    meeting candidates whenever they generate the union.
     """
     rule, t, x = _enter(mode, ctx, objects, op)
     full = t.full_object_mask

@@ -129,14 +129,9 @@ def _parse_granule(spec: str, objects: tuple[str, ...]) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def _pick_format(requested: str | None, choices: tuple[str, ...]) -> str:
-    if requested:
-        if requested not in choices:
-            raise _CliError(
-                f"format must be one of {', '.join(choices)}; got {requested!r}"
-            )
-        return requested
-    return "text" if sys.stdout.isatty() else "json"
+def _pick_format(requested: str | None) -> str:
+    """The ``--format`` argparse accepted, else text on a tty and JSON in a pipe."""
+    return requested or ("text" if sys.stdout.isatty() else "json")
 
 
 def _names(objects: tuple[str, ...], granule: frozenset[int]) -> str:
@@ -175,7 +170,7 @@ def _description_json(d: Description | None) -> dict | None:
 def _cmd_concepts(args: argparse.Namespace) -> int:
     loaded = _load_any(args.input)
     variant = args.variant.replace("-", "_")
-    fmt = _pick_format(args.format, ("text", "json", "dot"))
+    fmt = _pick_format(args.format)
     rule = next((r for r in _RULES.values() if r.family == variant), None)
     if rule is None:
         raise _CliError(f"unknown variant {args.variant!r}")
@@ -215,7 +210,7 @@ def _mode_context(
 def _cmd_define(args: argparse.Namespace) -> int:
     mode, ctx = _mode_context(args)
     granule = _parse_granule(args.granule, ctx.objects)
-    fmt = _pick_format(args.format, ("text", "json"))
+    fmt = _pick_format(args.format)
     try:
         verdict = getattr(defin, f"is_{mode.value}_definable")(ctx, granule)
     except ValueError as exc:
@@ -246,7 +241,7 @@ def _cmd_define(args: argparse.Namespace) -> int:
 def _cmd_approx(args: argparse.Namespace) -> int:
     mode, ctx = _mode_context(args)
     granule = _parse_granule(args.granule, ctx.objects)
-    fmt = _pick_format(args.format, ("text", "json"))
+    fmt = _pick_format(args.format)
     op = getattr(approx_ops, f"{args.direction}_{mode.value}", None)
     if op is None:
         raise _CliError(

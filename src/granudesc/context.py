@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 from collections.abc import Iterable, Sequence
 
-from granudesc._bits import mask_of, set_of
+from granudesc._bits import mask_of
 from granudesc.errors import ContextFormatError
 
 ObjectSet = frozenset[int]
@@ -90,20 +90,11 @@ class FormalContext:
     def full_attribute_mask(self) -> int:
         return (1 << self.n_attributes) - 1
 
-    def object_set(self, mask: int) -> ObjectSet:
-        return set_of(mask)
-
     def attribute_index(self, name: str) -> int:
         try:
             return self.attributes.index(name)
         except ValueError:
             raise KeyError(f"unknown attribute {name!r}") from None
-
-    def object_index(self, name: str) -> int:
-        try:
-            return self.objects.index(name)
-        except ValueError:
-            raise KeyError(f"unknown object {name!r}") from None
 
 
 class Flavor(Enum):

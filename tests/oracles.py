@@ -3,13 +3,18 @@
 Everything here is rebuilt by exhaustive enumeration straight from a raw
 incidence matrix (tuples of bool rows) and deliberately avoids the
 library's own closure and search code, so library results can be checked
-against an independent witness.  Sizes are desk scale; nothing here is
-meant to be fast.
+against an independent witness.  The one exception is
+``strict_covers_per_object``: it reaches strict covers by another route
+(one plain kernel search per object outside the target), as the
+reference the kernel's single strict search is checked against.  Sizes
+are desk scale; nothing here is meant to be fast.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from granudesc import _kernel
 
 
 def column_extents(incidence: tuple[tuple[bool, ...], ...]) -> list[frozenset[int]]:
@@ -182,3 +187,23 @@ def minimal_cover_entries(
         entries.append((id_set, u))
     entries.sort(key=lambda e: (len(e[1]), tuple(sorted(e[1]))))
     return entries
+
+
+def strict_covers_per_object(cands: list[int], target: int) -> list[int]:
+    """Minimal unions properly containing target, one search per outside object.
+
+    For every object that some candidate holds outside the target, the
+    kernel's plain cover search covers the target plus that object; the
+    antichain of all those unions is the strict answer.
+    """
+    pool = [c for c in cands if c]
+    total = 0
+    for c in pool:
+        total |= c
+    found: list[int] = []
+    extra = total & ~target
+    while extra:
+        low = extra & -extra
+        found.extend(_kernel._covering_unions(pool, target | low))
+        extra ^= low
+    return _kernel._minimal_antichain(found)

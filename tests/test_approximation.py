@@ -282,17 +282,22 @@ def test_cover_problem_rejects_duplicate_ids() -> None:
     n_cand=st.integers(0, 6),
     density=st.sampled_from([0.2, 0.5, 0.8]),
     strict=st.booleans(),
+    union_target=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
 def test_minimal_covers_match_exhaustive_search(
-    seed: int, n_obj: int, n_cand: int, density: float, strict: bool
+    seed: int, n_obj: int, n_cand: int, density: float, strict: bool, union_target: bool
 ) -> None:
     rng = random.Random(seed)
     cands = tuple(
         (j, frozenset(i for i in range(n_obj) if rng.random() < density))
         for j in range(n_cand)
     )
-    target = _subset(rng, n_obj)
+    if union_target:
+        # a union of candidates, so a strict search must step past it
+        target = frozenset().union(*(c for _, c in cands if rng.random() < 0.5))
+    else:
+        target = _subset(rng, n_obj)
     got = enumerate_minimal_covers(CoverProblem(cands, target), strict=strict)
     assert got == oracles.minimal_cover_entries(list(cands), target, strict=strict)
 

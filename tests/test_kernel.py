@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import granudesc
 from granudesc import _kernel
+from granudesc._bits import mask_of, set_of
+
+from . import oracles
 
 
 def test_backend_name_is_exported() -> None:
@@ -42,6 +50,37 @@ def test_cover_edge_shapes() -> None:
     # strict covers of the empty target are the minimal nonempty unions
     assert _kernel.minimal_cover_unions([0b01, 0b10], 0, True) == [0b01, 0b10]
     assert _kernel.minimal_cover_unions([0b01, 0b11], 0b01, True) == [0b11]
+    # the target is a union; its cheapest step up is a candidate disjoint from it
+    assert _kernel.minimal_cover_unions([0b001, 0b110, 0b100], 0b001, True) == [0b101]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obj=st.integers(0, 10),
+    n_cand=st.integers(0, 8),
+    density=st.sampled_from([0.2, 0.5, 0.8]),
+    union_target=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_cover_search_matches_per_object_search_and_brute_force(
+    seed: int, n_obj: int, n_cand: int, density: float, union_target: bool
+) -> None:
+    rng = random.Random(seed)
+    cands = [mask_of(i for i in range(n_obj) if rng.random() < density) for _ in range(n_cand)]
+    if union_target:
+        target = 0
+        for c in cands:
+            if rng.random() < 0.5:
+                target |= c
+    else:
+        target = mask_of(i for i in range(n_obj) if rng.random() < 0.5)
+    entries = list(enumerate(set_of(c) for c in cands))
+    for strict in (False, True):
+        brute = oracles.minimal_cover_entries(entries, set_of(target), strict)
+        want = sorted((mask_of(u) for _, u in brute), key=lambda m: (bin(m).count("1"), m))
+        assert _kernel.minimal_cover_unions(cands, target, strict) == want
+    per_object = oracles.strict_covers_per_object(cands, target)
+    assert _kernel.minimal_cover_unions(cands, target, True) == per_object
 
 
 # ---------------------------------------------------------------------------
