@@ -33,6 +33,12 @@ def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
-def member_vector(mask: int, width: int) -> tuple[int, ...]:
-    """0/1 membership tuple, index 0 first; used for lexicographic ties."""
-    return tuple((mask >> i) & 1 for i in range(width))
+def member_vector(mask: int, width: int) -> str:
+    """Membership string, index 0 first: "1" where the bit is set.
+
+    The order key for lexicographic ties and for the kernel's lectic
+    order.  Strings of one width compare character by character, so two
+    masks below ``1 << width`` order by their lowest differing bit, the
+    mask holding it last.
+    """
+    return format(mask, f"0{width}b")[::-1]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from granudesc._bits import bits
+from granudesc._bits import bits, member_vector
 
 
 def backend_name() -> str:
@@ -20,50 +20,20 @@ def backend_name() -> str:
 def formal_concepts(cols: Sequence[int], n_objects: int) -> list[tuple[int, int]]:
     """All (extent mask, intent mask) pairs of the relation given by columns.
 
-    ``cols[j]`` is the object mask of attribute j.  Closed attribute sets
-    are enumerated in lectic order, which visits every closure exactly once.
+    ``cols[j]`` is the object mask of attribute j.  Every extent is the
+    intersection of the columns of its intent (all objects for the empty
+    intent), and every such intersection is an extent, so meeting each
+    column in turn with the extents found so far yields exactly the
+    extents, each once.  The pairs come in lectic order of their intents,
+    attribute 0 most significant: sorted by ``member_vector(intent,
+    len(cols))``.
     """
-    n = len(cols)
-    full_ext = (1 << n_objects) - 1
-    if n == 0:
-        return [(full_ext, 0)]
-    full_int = (1 << n) - 1
-
-    def extent_of(attrs: int) -> int:
-        e = full_ext
-        a = attrs
-        while a:
-            low = a & -a
-            e &= cols[low.bit_length() - 1]
-            a ^= low
-        return e
-
-    def intent_of(ext: int) -> int:
-        m = 0
-        for j in range(n):
-            if ext & ~cols[j] == 0:
-                m |= 1 << j
-        return m
-
-    out: list[tuple[int, int]] = []
-    cur = intent_of(full_ext)
-    out.append((full_ext, cur))
-    while cur != full_int:
-        for i in range(n - 1, -1, -1):
-            bit = 1 << i
-            if cur & bit:
-                cur &= ~bit
-            else:
-                ext = extent_of(cur | bit)
-                nxt = intent_of(ext)
-                # lectic successor test: no attribute below i may be new
-                if (nxt & ~cur) & (bit - 1) == 0:
-                    out.append((ext, nxt))
-                    cur = nxt
-                    break
-        else:  # pragma: no cover - the full attribute set is always closed
-            raise RuntimeError("closure enumeration failed to advance")
-    return out
+    exts = {(1 << n_objects) - 1}
+    for c in cols:
+        exts |= {e & c for e in exts}
+    pairs = [(e, sum(1 << j for j, c in enumerate(cols) if e & c == e)) for e in exts]
+    width = len(cols)
+    return sorted(pairs, key=lambda p: member_vector(p[1], width))
 
 
 def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False) -> list[int]:

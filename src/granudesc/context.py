@@ -307,11 +307,18 @@ def _context_from_json(data: dict) -> FormalContext:
 
 
 def parse_context(text: str) -> FormalContext:
-    """Parse a formal context from cxt or JSON text (auto-detected)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _context_from_json(_load_json(text))
-    return _parse_cxt(text)
+    """Parse a formal context from cxt or JSON text (auto-detected).
+
+    JSON with a top-level ``flavor`` key is a compound context; it is
+    refused with a pointer to ``parse_compound``.
+    """
+    ctx = _parse_any(text)
+    if isinstance(ctx, CompoundContext):
+        raise ContextFormatError(
+            "this is a compound context (it has a 'flavor' field); "
+            "read it with parse_compound"
+        )
+    return ctx
 
 
 def serialize_context(ctx: FormalContext, format: str = "cxt") -> str:

@@ -258,35 +258,6 @@ def is_vee_definable(ctx: FormalContext, objects: Iterable[int]) -> Verdict:
     return _verdict(Mode.VEE, ctx, objects, "is_vee_definable")
 
 
-def is_vee_definable_via_complement(
-    ctx: FormalContext, objects: Iterable[int]
-) -> Verdict:
-    """Disjunctive definability decided on the complement context.
-
-    The granule is disjunctively definable exactly when its complement is
-    conjunctively closed over the complemented table.  Diagnostic twin of
-    ``is_vee_definable``; both return identical verdicts.
-    """
-    _require_flavor(ctx, None, "is_vee_definable_via_complement")
-    x = object_mask(ctx, objects)
-    full = ctx.full_object_mask
-    rest = full & ~x
-    # intent of the rest over the complemented rows
-    shared = ctx.full_attribute_mask
-    for i in bits(rest):
-        shared &= ~ctx.row_masks[i]
-    if not shared:
-        return Verdict(Status.INAPPLICABLE, reason=Reason.EMPTY_INTENT)
-    # and its extent over the complemented columns
-    closure = full
-    for j in bits(shared):
-        closure &= ~ctx.column_masks[j]
-    if closure == rest:
-        d = _self_check(ctx, x, disj_of(ctx, bits(shared)))
-        return Verdict(Status.DEFINABLE, description=d)
-    return Verdict(Status.INDEFINABLE, witness=set_of(full & ~closure))
-
-
 def is_cn_definable(cctx: CompoundContext, objects: Iterable[int]) -> Verdict:
     """Two-part definability: a non-empty a-part conjunction intersected
     with a non-empty b-part disjunct must give back the granule."""

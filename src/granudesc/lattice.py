@@ -60,11 +60,11 @@ class ConceptLattice:
         return self.concepts[-1]
 
 
-def _guard_attributes(count: int, force: bool) -> None:
-    if count > MAX_ENUMERATION_ATTRIBUTES and not force:
+def _guard(what: str, count: int, unit: str, limit: int, force: bool) -> None:
+    if count > limit and not force:
         raise SizeGuardExceeded(
-            f"enumeration over {count} attributes exceeds the guard of "
-            f"{MAX_ENUMERATION_ATTRIBUTES}; pass force/--force to run anyway"
+            f"{what} over {count} {unit} exceeds the guard of "
+            f"{limit}; pass force/--force to run anyway"
         )
 
 
@@ -106,7 +106,7 @@ def _lattice(
     With ``complemented`` the columns are complements and every extent is
     flipped back, which reverses inclusion and so every cover edge.
     """
-    _guard_attributes(len(cols), force)
+    _guard("enumeration", len(cols), "attributes", MAX_ENUMERATION_ATTRIBUTES, force)
     pairs = _kernel.formal_concepts(cols, ctx.n_objects)
     full = (1 << ctx.n_objects) - 1
     concepts = [
@@ -155,11 +155,7 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
     """
     _require_flavor(cctx, Flavor.COMMON_NECESSARY, "enumerate_cn")
     n = cctx.n_objects
-    if n > MAX_CN_OBJECTS and not force:
-        raise SizeGuardExceeded(
-            f"cn enumeration over {n} objects exceeds the guard of "
-            f"{MAX_CN_OBJECTS}; pass force/--force to run anyway"
-        )
+    _guard("cn enumeration", n, "objects", MAX_CN_OBJECTS, force)
     b_cols = cctx.b_block.column_masks
     found: set[int] = set()
     for g, _ in _kernel.formal_concepts(cctx.a_block.column_masks, n):

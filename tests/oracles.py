@@ -3,17 +3,21 @@
 Everything here is rebuilt by exhaustive enumeration straight from a raw
 incidence matrix (tuples of bool rows) and deliberately avoids the
 library's own closure and search code, so library results can be checked
-against an independent witness.  The one exception is
-``strict_covers_per_object``: it reaches strict covers by another route
-(one plain kernel search per object outside the target), as the
-reference the kernel's single strict search is checked against.  Sizes
-are desk scale; nothing here is meant to be fast.
+against an independent witness.  Next to them sit the algorithms the
+library replaced, kept as references for their replacements:
+``formal_concepts_next_closure`` (lectic-successor closure enumeration),
+``strict_covers_per_object`` (one plain kernel search per object outside
+the target) and ``vee_verdict_via_complement`` (disjunctive definability
+decided on the complemented table).  Sizes are desk scale; nothing here
+is meant to be fast.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 
+from granudesc import FormalContext, Reason, Status, Verdict, disj_of, evaluate
 from granudesc import _kernel
 
 
@@ -127,6 +131,57 @@ def formal_concepts_bruteforce(
     return out
 
 
+def formal_concepts_next_closure(
+    cols: Sequence[int], n_objects: int
+) -> list[tuple[int, int]]:
+    """All (extent mask, intent mask) pairs by Ganter's NextClosure.
+
+    Closed attribute sets are visited in lectic order, attribute 0 most
+    significant, which reaches every closure exactly once.
+    """
+    n = len(cols)
+    full_ext = (1 << n_objects) - 1
+    if n == 0:
+        return [(full_ext, 0)]
+    full_int = (1 << n) - 1
+
+    def extent_of(attrs: int) -> int:
+        e = full_ext
+        a = attrs
+        while a:
+            low = a & -a
+            e &= cols[low.bit_length() - 1]
+            a ^= low
+        return e
+
+    def intent_of(ext: int) -> int:
+        m = 0
+        for j in range(n):
+            if ext & ~cols[j] == 0:
+                m |= 1 << j
+        return m
+
+    out: list[tuple[int, int]] = []
+    cur = intent_of(full_ext)
+    out.append((full_ext, cur))
+    while cur != full_int:
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if cur & bit:
+                cur &= ~bit
+            else:
+                ext = extent_of(cur | bit)
+                nxt = intent_of(ext)
+                # lectic successor test: no attribute below i may be new
+                if (nxt & ~cur) & (bit - 1) == 0:
+                    out.append((ext, nxt))
+                    cur = nxt
+                    break
+        else:  # pragma: no cover - the full attribute set is always closed
+            raise RuntimeError("closure enumeration failed to advance")
+    return out
+
+
 def cover_edges_bruteforce(
     extents: list[frozenset[int]],
 ) -> tuple[tuple[int, int], ...]:
@@ -207,3 +262,27 @@ def strict_covers_per_object(cands: list[int], target: int) -> list[int]:
         found.extend(_kernel._covering_unions(pool, target | low))
         extra ^= low
     return _kernel._minimal_antichain(found)
+
+
+def vee_verdict_via_complement(ctx: FormalContext, x: frozenset[int]) -> Verdict:
+    """Disjunctive definability decided on the complemented table.
+
+    The granule is a union of attribute extents exactly when its
+    complement is conjunctively closed over the complemented rows and
+    columns: the attributes missing from every outside object describe
+    it when the objects lacking all of them are exactly the outside ones.
+    Gives the verdict ``is_vee_definable`` gives, description included.
+    """
+    universe = frozenset(range(ctx.n_objects))
+    rest = universe - x
+    comp_cols = [universe - c for c in column_extents(ctx.incidence)]
+    shared = [j for j, c in enumerate(comp_cols) if rest <= c]
+    if not shared:
+        return Verdict(Status.INAPPLICABLE, reason=Reason.EMPTY_INTENT)
+    closure = universe.intersection(*(comp_cols[j] for j in shared))
+    if closure != rest:
+        return Verdict(Status.INDEFINABLE, witness=universe - closure)
+    d = disj_of(ctx, shared)
+    if evaluate(ctx, d) != x:
+        raise AssertionError(f"{d!r} does not describe {sorted(x)}")
+    return Verdict(Status.DEFINABLE, description=d)

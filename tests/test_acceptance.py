@@ -21,7 +21,6 @@ from granudesc import (
     is_cn_definable,
     is_three_way_definable,
     is_vee_definable,
-    is_vee_definable_via_complement,
     is_wedge_definable,
     lower_three_way,
     make_cn_context,
@@ -417,7 +416,7 @@ def test_criterion_6_dual_characterizations_agree() -> None:
         n = ctx.n_objects
         for x in _all_subsets(n):
             direct = is_vee_definable(ctx, x)
-            dual = is_vee_definable_via_complement(ctx, x)
+            dual = oracles.vee_verdict_via_complement(ctx, x)
             if direct != dual:
                 errors.append(f"trial {trial}, vee on {sorted(x)}")
             closed = extent(ctx, intent(ctx, x)) == x

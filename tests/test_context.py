@@ -113,6 +113,13 @@ def test_json_field_errors() -> None:
         parse_compound("[1, 2]")
 
 
+def test_parse_context_points_compound_input_to_parse_compound() -> None:
+    text = load_text("table5.json")
+    with pytest.raises(ContextFormatError, match="parse_compound"):
+        parse_context(text)
+    assert parse_compound(text).flavor is Flavor.COMMON_NECESSARY
+
+
 def test_cxt_with_crlf_line_ends_parses_like_lf(table1: FormalContext) -> None:
     text = load_text("table1.cxt")
     assert "\r" not in text

@@ -22,7 +22,6 @@ from granudesc import (
     is_cn_definable,
     is_three_way_definable,
     is_vee_definable,
-    is_vee_definable_via_complement,
     is_wedge_definable,
     minimal_descriptions,
     render,
@@ -181,7 +180,7 @@ def test_vee_complement_route_agrees_on_fixtures(table1) -> None:
         frozenset(range(7)),
         frozenset(),
     ]:
-        assert is_vee_definable_via_complement(table1, x) == is_vee_definable(table1, x)
+        assert oracles.vee_verdict_via_complement(table1, x) == is_vee_definable(table1, x)
 
 
 @given(
@@ -197,7 +196,7 @@ def test_vee_complement_route_agrees_everywhere(
     rng = random.Random(seed)
     ctx = random_context(rng, n_obj, n_att, density)
     x = _subset(rng, n_obj)
-    assert is_vee_definable_via_complement(ctx, x) == is_vee_definable(ctx, x)
+    assert oracles.vee_verdict_via_complement(ctx, x) == is_vee_definable(ctx, x)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,6 @@ WRONG_KIND = [
     ("conj_disj", "table1", ({0},)),
     ("is_wedge_definable", "table3", ()),
     ("is_vee_definable", "table5", ()),
-    ("is_vee_definable_via_complement", "table5", ()),
     ("find_covering_elements", "table3", ()),
     ("upper_wedge", "table5", ()),
     ("lower_wedge", "table3", ()),

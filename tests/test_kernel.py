@@ -39,6 +39,26 @@ def test_enumeration_starts_at_top() -> None:
     assert len(out) == len(set(out))
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obj=st.integers(0, 10),
+    n_att=st.integers(0, 8),
+    density=st.sampled_from([0.2, 0.5, 0.8]),
+)
+@settings(max_examples=400, deadline=None)
+def test_concepts_match_next_closure_and_brute_force(
+    seed: int, n_obj: int, n_att: int, density: float
+) -> None:
+    rng = random.Random(seed)
+    rows = tuple(tuple(rng.random() < density for _ in range(n_att)) for _ in range(n_obj))
+    cols = [mask_of(i for i in range(n_obj) if rows[i][j]) for j in range(n_att)]
+    got = _kernel.formal_concepts(cols, n_obj)
+    assert got == oracles.formal_concepts_next_closure(cols, n_obj)
+    if n_obj:  # a matrix without rows carries no column count
+        brute = oracles.formal_concepts_bruteforce(rows)
+        assert {(set_of(e), set_of(a)) for e, a in got} == brute
+
+
 # ---------------------------------------------------------------------------
 # minimal covers
 # ---------------------------------------------------------------------------
