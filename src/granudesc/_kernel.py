@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from granudesc._bits import bits, member_vector
+from granudesc._bits import member_vector
 
 
 def backend_name() -> str:
@@ -43,52 +43,81 @@ def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False
     contain it properly.  Result is duplicate-free, sorted by (popcount,
     mask value).  Empty candidates never change a union and are ignored.
 
-    Both modes run one search.  When ``target`` is not itself a union the
-    minimal covers already contain it properly.  When it is, every union
-    properly above it holds some candidate ``c`` reaching outside it, and
+    With ``strict``, the candidates inside ``target`` are ORed first.
+    When they make up ``target``, it is itself a union, and every union
+    properly above it holds some candidate ``c`` reaching outside it and
     so contains the union ``target | c``: the one-step unions are the only
-    ones the antichain has to compare.  Candidates disjoint from
-    ``target`` never join a minimal cover, but they stay in the pool:
-    a step by one of them can be a minimal strict union.
+    ones the antichain has to compare, and no search runs.  Otherwise no
+    union equals ``target``, so the minimal covers of the plain search
+    already contain it properly.  Candidates disjoint from ``target``
+    never join a minimal cover, but they stay in the pool: a step by one
+    of them can be a minimal strict union.
     """
     pool = [c for c in cands if c]
-    found = _covering_unions(pool, target)
-    if strict and target in found:
-        found = [target | c for c in pool if c & ~target]
-    return _minimal_antichain(found)
+    if strict:
+        inside = 0
+        for c in pool:
+            if c & ~target == 0:
+                inside |= c
+        if inside == target:
+            return _minimal_antichain([target | c for c in pool if c & ~target])
+    return _minimal_antichain(_covering_unions(pool, target))
 
 
 def _covering_unions(pool: list[int], target: int) -> list[int]:
     """All candidate unions containing target that no branch can shrink.
 
-    The search branches on the uncovered object with the fewest covers,
-    and a branch sets aside only the covers of that object tried before
-    it.  An uncovered object whose covers all lay among those would have
-    had fewer covers, so no object loses its last cover; an object with
-    none leaves its node without a branch.
+    Sets of candidates are masks over pool indices: ``by_obj[o]`` holds
+    the indices of the candidates covering target object ``o`` (keyed by
+    the object's bit), and a node's ``avail`` the indices it may still
+    add.  The search branches on the uncovered object with the fewest
+    available covers, and a branch sets aside only the covers of that
+    object tried before it.  An uncovered object whose covers all lay
+    among those would have had fewer covers, so no object loses its last
+    cover; an object with none ends its node at once.
     """
+    by_obj: dict[int, int] = {}
+    for i, c in enumerate(pool):
+        m = c & target
+        while m:
+            low = m & -m
+            by_obj[low] = by_obj.get(low, 0) | 1 << i
+            m ^= low
     found: list[int] = []
 
-    def rec(pu: int, avail: list[int]) -> None:
+    def rec(pu: int, avail: int) -> None:
         rem = target & ~pu
         if rem == 0:
             found.append(pu)
             return
-        u = min(bits(rem), key=lambda v: sum(c >> v & 1 for c in avail))
-        covers = [c for c in avail if c >> u & 1]
-        rest = [c for c in avail if not c >> u & 1]
-        for pos, c in enumerate(covers):
+        best = -1
+        fewest = len(pool) + 1
+        while rem:
+            low = rem & -rem
+            covers = by_obj.get(low, 0) & avail
+            n = covers.bit_count()
+            if n < fewest:
+                if n == 0:
+                    return
+                fewest, best = n, covers
+            rem ^= low
+        rest = avail & ~best
+        while best:
+            low = best & -best
             # skipping earlier covers of the same object avoids revisits
-            rec(pu | c, covers[pos + 1:] + rest)
+            best ^= low
+            rec(pu | pool[low.bit_length() - 1], best | rest)
 
-    rec(0, pool)
+    rec(0, (1 << len(pool)) - 1)
     return found
 
 
 def _minimal_antichain(masks: list[int]) -> list[int]:
-    uniq = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
     kept: list[int] = []
-    for m in uniq:
-        if not any(k & ~m == 0 for k in kept):
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        for k in kept:
+            if k & ~m == 0:
+                break
+        else:
             kept.append(m)
     return kept

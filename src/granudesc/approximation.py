@@ -83,7 +83,7 @@ def enumerate_minimal_covers(
 def _sorted_granules(
     items: list[tuple[int, Description | None]]
 ) -> tuple[tuple[ObjectSet, Description | None], ...]:
-    items.sort(key=lambda g: (bin(g[0]).count("1"), tuple(bits(g[0]))))
+    items.sort(key=lambda g: (g[0].bit_count(), tuple(bits(g[0]))))
     return tuple((set_of(g), d) for g, d in items)
 
 

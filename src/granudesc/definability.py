@@ -131,7 +131,7 @@ class _CnRule(_Rule):
         )
         return sorted(
             hits,
-            key=lambda s: (bin(s).count("1"), tuple(bits(s & low)), tuple(bits(s >> n))),
+            key=lambda s: (s.bit_count(), tuple(bits(s & low)), tuple(bits(s >> n))),
         )
 
 

@@ -178,8 +178,8 @@ def _cn_b_part(cctx: CompoundContext, x: int, a_part: int) -> int:
     best = min(
         _kernel.minimal_cover_unions(b_cols, x),
         key=lambda y: (
-            bin(g & y).count("1"),
-            bin(y).count("1"),
+            (g & y).bit_count(),
+            y.bit_count(),
             member_vector(y, n),
         ),
     )

@@ -89,7 +89,7 @@ def _lower_neighbours(
                 hits[e] = hits.get(e, 0) + 1
         for e, count in hits.items():
             low = index[e]
-            if count == bin(pairs[low][1] & ~att).count("1"):
+            if count == (pairs[low][1] & ~att).bit_count():
                 edges.append((k, low))
     return edges
 

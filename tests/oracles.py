@@ -6,7 +6,8 @@ library's own closure and search code, so library results can be checked
 against an independent witness.  Next to them sit the algorithms the
 library replaced, kept as references for their replacements:
 ``formal_concepts_next_closure`` (lectic-successor closure enumeration),
-``strict_covers_per_object`` (one plain kernel search per object outside
+``covering_unions_lists`` (the cover search on candidate lists),
+``strict_covers_per_object`` (one plain cover search per object outside
 the target) and ``vee_verdict_via_complement`` (disjunctive definability
 decided on the complemented table).  Sizes are desk scale; nothing here
 is meant to be fast.
@@ -18,14 +19,19 @@ from collections.abc import Sequence
 from itertools import combinations
 
 from granudesc import FormalContext, Reason, Status, Verdict, disj_of, evaluate
-from granudesc import _kernel
+from granudesc._bits import bits
 
 
-def column_extents(incidence: tuple[tuple[bool, ...], ...]) -> list[frozenset[int]]:
-    """Extent of each attribute column, as object index sets."""
-    if not incidence:
-        return []
-    width = len(incidence[0])
+def column_extents(
+    incidence: tuple[tuple[bool, ...], ...], width: int | None = None
+) -> list[frozenset[int]]:
+    """Extent of each attribute column, as object index sets.
+
+    ``width`` is the column count; it defaults to the length of the first
+    row, so a matrix without rows needs it passed in.
+    """
+    if width is None:
+        width = len(incidence[0]) if incidence else 0
     return [
         frozenset(i for i, row in enumerate(incidence) if row[j])
         for j in range(width)
@@ -112,12 +118,15 @@ def cn_fixed_points_scan(
 
 
 def formal_concepts_bruteforce(
-    incidence: tuple[tuple[bool, ...], ...],
+    incidence: tuple[tuple[bool, ...], ...], width: int | None = None
 ) -> set[tuple[frozenset[int], frozenset[int]]]:
-    """All (extent, intent) pairs, deduplicated over every attribute subset."""
+    """All (extent, intent) pairs, deduplicated over every attribute subset.
+
+    ``width`` is the column count, as for ``column_extents``.
+    """
     n = len(incidence)
     universe = frozenset(range(n))
-    cols = column_extents(incidence)
+    cols = column_extents(incidence, width)
     width = len(cols)
     out = set()
     for r in range(width + 1):
@@ -244,12 +253,46 @@ def minimal_cover_entries(
     return entries
 
 
+def covering_unions_lists(pool: list[int], target: int) -> list[int]:
+    """All candidate unions containing target that no branch can shrink.
+
+    The list-based search the kernel's index-bitset search replaced.  It
+    branches on the uncovered object with the fewest covers, and a branch
+    sets aside only the covers of that object tried before it, so every
+    inclusion-minimal cover is among the leaves (with non-minimal ones).
+    """
+    found: list[int] = []
+
+    def rec(pu: int, avail: list[int]) -> None:
+        rem = target & ~pu
+        if rem == 0:
+            found.append(pu)
+            return
+        u = min(bits(rem), key=lambda v: sum(c >> v & 1 for c in avail))
+        covers = [c for c in avail if c >> u & 1]
+        rest = [c for c in avail if not c >> u & 1]
+        for pos, c in enumerate(covers):
+            rec(pu | c, covers[pos + 1:] + rest)
+
+    rec(0, pool)
+    return found
+
+
+def minimal_masks(masks: list[int]) -> list[int]:
+    """Inclusion-minimal masks, duplicate-free, by (popcount, mask value)."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(k & ~m == 0 for k in kept):
+            kept.append(m)
+    return kept
+
+
 def strict_covers_per_object(cands: list[int], target: int) -> list[int]:
     """Minimal unions properly containing target, one search per outside object.
 
     For every object that some candidate holds outside the target, the
-    kernel's plain cover search covers the target plus that object; the
-    antichain of all those unions is the strict answer.
+    list-based search covers the target plus that object; the antichain
+    of all those unions is the strict answer.
     """
     pool = [c for c in cands if c]
     total = 0
@@ -259,9 +302,9 @@ def strict_covers_per_object(cands: list[int], target: int) -> list[int]:
     extra = total & ~target
     while extra:
         low = extra & -extra
-        found.extend(_kernel._covering_unions(pool, target | low))
+        found.extend(covering_unions_lists(pool, target | low))
         extra ^= low
-    return _kernel._minimal_antichain(found)
+    return minimal_masks(found)
 
 
 def vee_verdict_via_complement(ctx: FormalContext, x: frozenset[int]) -> Verdict:

@@ -54,14 +54,29 @@ def test_concepts_match_next_closure_and_brute_force(
     cols = [mask_of(i for i in range(n_obj) if rows[i][j]) for j in range(n_att)]
     got = _kernel.formal_concepts(cols, n_obj)
     assert got == oracles.formal_concepts_next_closure(cols, n_obj)
-    if n_obj:  # a matrix without rows carries no column count
-        brute = oracles.formal_concepts_bruteforce(rows)
-        assert {(set_of(e), set_of(a)) for e, a in got} == brute
+    brute = oracles.formal_concepts_bruteforce(rows, n_att)
+    assert {(set_of(e), set_of(a)) for e, a in got} == brute
 
 
 # ---------------------------------------------------------------------------
 # minimal covers
 # ---------------------------------------------------------------------------
+
+
+def _cover_problem(
+    rng: random.Random, n_obj: int, n_cand: int, density: float, union_target: bool
+) -> tuple[list[int], int]:
+    """Random candidates, and a target that is a union of some of them or
+    a random half of the objects."""
+    cands = [mask_of(i for i in range(n_obj) if rng.random() < density) for _ in range(n_cand)]
+    if union_target:
+        target = 0
+        for c in cands:
+            if rng.random() < 0.5:
+                target |= c
+    else:
+        target = mask_of(i for i in range(n_obj) if rng.random() < 0.5)
+    return cands, target
 
 
 def test_cover_edge_shapes() -> None:
@@ -85,22 +100,30 @@ def test_cover_edge_shapes() -> None:
 def test_cover_search_matches_per_object_search_and_brute_force(
     seed: int, n_obj: int, n_cand: int, density: float, union_target: bool
 ) -> None:
-    rng = random.Random(seed)
-    cands = [mask_of(i for i in range(n_obj) if rng.random() < density) for _ in range(n_cand)]
-    if union_target:
-        target = 0
-        for c in cands:
-            if rng.random() < 0.5:
-                target |= c
-    else:
-        target = mask_of(i for i in range(n_obj) if rng.random() < 0.5)
+    cands, target = _cover_problem(random.Random(seed), n_obj, n_cand, density, union_target)
     entries = list(enumerate(set_of(c) for c in cands))
     for strict in (False, True):
         brute = oracles.minimal_cover_entries(entries, set_of(target), strict)
-        want = sorted((mask_of(u) for _, u in brute), key=lambda m: (bin(m).count("1"), m))
+        want = sorted((mask_of(u) for _, u in brute), key=lambda m: (m.bit_count(), m))
         assert _kernel.minimal_cover_unions(cands, target, strict) == want
     per_object = oracles.strict_covers_per_object(cands, target)
     assert _kernel.minimal_cover_unions(cands, target, True) == per_object
+
+
+@given(seed=st.integers(0, 2**32 - 1), union_target=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_cover_search_matches_list_search_at_bounds_scale(seed: int, union_target: bool) -> None:
+    # past the sizes brute force can take (the test above covers the small
+    # ones); the list-based search the kernel replaced is the reference.
+    # The seed draws the sizes, since hypothesis favours the low end of a range.
+    rng = random.Random(seed)
+    n_obj, n_cand, density = rng.randint(16, 32), rng.randint(8, 16), rng.uniform(0.2, 0.5)
+    cands, target = _cover_problem(rng, n_obj, n_cand, density, union_target)
+    pool = [c for c in cands if c]
+    plain = oracles.minimal_masks(oracles.covering_unions_lists(pool, target))
+    assert _kernel.minimal_cover_unions(cands, target) == plain
+    strict = oracles.strict_covers_per_object(cands, target)
+    assert _kernel.minimal_cover_unions(cands, target, True) == strict
 
 
 # ---------------------------------------------------------------------------
