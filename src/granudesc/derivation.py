@@ -171,12 +171,29 @@ def _cn_premise(cctx: CompoundContext, x: int) -> tuple[int, bool]:
 
 
 def _cn_b_part(cctx: CompoundContext, x: int, a_part: int) -> int:
-    """The b-part of the canonical two-part intent of a covered granule."""
+    """The b-part of the canonical two-part intent of a covered granule.
+
+    Let g be the a-extent.  Every union y of b-extents covering x has
+    g & y ⊇ x, and the canonical union minimises |g & y| first.  Suppose
+    the b-extents whose trace on g lies inside x (``c & g & ~x == 0``)
+    cover x.  Then the optimum has g & y == x, every cover reaching it
+    uses only those extents, and so does every smaller union inside it:
+    the minimal covers from that restricted pool are exactly the
+    candidates left for the rest of the key.  When they do not cover x,
+    the search runs on all b-extents.
+    """
     g = _extent(cctx.a_block, a_part)
     b_cols = cctx.b_block.column_masks
+    outside = g & ~x
+    pool = [c for c in b_cols if not c & outside]
+    reach = 0
+    for c in pool:
+        reach |= c
+    if x & ~reach:
+        pool = b_cols
     n = cctx.n_objects
     best = min(
-        _kernel.minimal_cover_unions(b_cols, x),
+        _kernel.minimal_cover_unions(pool, x),
         key=lambda y: (
             (g & y).bit_count(),
             y.bit_count(),

@@ -16,7 +16,14 @@ from collections.abc import Sequence
 from granudesc import _kernel
 from granudesc._bits import set_of
 from granudesc.context import CompoundContext, Flavor, FormalContext
-from granudesc.derivation import CnIntent, _require_flavor, cn_intent, intent, extent
+from granudesc.derivation import (
+    CnIntent,
+    _cn_b_part,
+    _intent,
+    _require_flavor,
+    extent,
+    intent,
+)
 from granudesc.errors import SizeGuardExceeded
 
 MAX_ENUMERATION_ATTRIBUTES = 30
@@ -30,9 +37,33 @@ class System(Enum):
     COMMON_NECESSARY = "common_necessary"
 
 
+class _once:
+    """A method turned into an attribute computed on first use.
+
+    The value goes into the instance ``__dict__``, which shadows this
+    non-data descriptor from then on, so it is computed at most once and
+    is no field: equality, hash and repr ignore it.  Unlike
+    ``functools.cached_property`` on Python 3.11, it takes no lock.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Concept:
-    """An (extent, intent) pair tied to the context it was computed over."""
+    """An (extent, intent) pair tied to the context it was computed over.
+
+    The sorted extent and the object and intent names are computed once,
+    on first use, and shared by the sort key and the three renderers.
+    """
 
     extent: frozenset[int]
     intent: frozenset[int] | CnIntent
@@ -40,7 +71,27 @@ class Concept:
     context: FormalContext | CompoundContext
 
     def sort_key(self) -> tuple:
-        return (-len(self.extent), tuple(sorted(self.extent)))
+        return (-len(self.extent), self._sorted_extent)
+
+    @_once
+    def _sorted_extent(self) -> tuple[int, ...]:
+        return tuple(sorted(self.extent))
+
+    @_once
+    def _object_names(self) -> list[str]:
+        names = self.context.objects
+        return [names[i] for i in self._sorted_extent]
+
+    @_once
+    def _intent_names(self) -> list[str]:
+        ctx, idx = self.context, self.intent
+        if isinstance(ctx, FormalContext):
+            return [ctx.attributes[j] for j in sorted(idx)]
+        if isinstance(idx, CnIntent):  # b-part indices follow the a-block when flattened
+            n = len(ctx.a_attributes)
+            idx = idx.a_part | {n + j for j in idx.b_part}
+        flat = ctx.a_attributes + ctx.b_attributes
+        return [flat[j] for j in sorted(idx)]
 
 
 @dataclass(frozen=True)
@@ -150,8 +201,11 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
     a-block concept extent g, the traces ``col & g``.  A union of the
     traces of g closes to a smaller extent g' at most, and its traces are
     traces of g' as well, so every union built is a fixed point; a set
-    removes those reached from more than one g.  No order structure is
-    claimed for this family.
+    removes those reached from more than one g.  Each fixed point, a
+    non-empty union of non-empty traces, is covered by the b-extents, so
+    its intent (the one ``cn_intent`` gives) is derived on masks without
+    the checks of the public call.  No order structure is claimed for
+    this family.
     """
     _require_flavor(cctx, Flavor.COMMON_NECESSARY, "enumerate_cn")
     n = cctx.n_objects
@@ -164,10 +218,11 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
             unions |= {u | t for u in unions}
         found |= unions
     found.discard(0)
-    concepts = [
-        Concept(set_of(x), cn_intent(cctx, set_of(x)), System.COMMON_NECESSARY, cctx)
-        for x in found
-    ]
+    concepts = []
+    for x in found:
+        a_part = _intent(cctx.a_block, x)
+        e = CnIntent(set_of(a_part), set_of(_cn_b_part(cctx, x, a_part)))
+        concepts.append(Concept(set_of(x), e, System.COMMON_NECESSARY, cctx))
     return sorted(concepts, key=Concept.sort_key)
 
 
@@ -209,21 +264,9 @@ def concept_join(c1: Concept, c2: Concept) -> Concept:
 # ---------------------------------------------------------------------------
 
 
-def _object_names(concept: Concept) -> list[str]:
-    names = concept.context.objects
-    return [names[i] for i in sorted(concept.extent)]
-
-
 def intent_names(concept: Concept) -> list[str]:
     """Attribute names of the intent; flat a-then-b for two-part intents."""
-    ctx, idx = concept.context, concept.intent
-    if isinstance(ctx, FormalContext):
-        return [ctx.attributes[j] for j in sorted(idx)]
-    if isinstance(idx, CnIntent):  # b-part indices follow the a-block when flattened
-        n = len(ctx.a_attributes)
-        idx = idx.a_part | {n + j for j in idx.b_part}
-    flat = ctx.a_attributes + ctx.b_attributes
-    return [flat[j] for j in sorted(idx)]
+    return list(concept._intent_names)
 
 
 def _braced(names: list[str], ascii_ops: bool) -> str:
@@ -234,25 +277,25 @@ def _braced(names: list[str], ascii_ops: bool) -> str:
 
 def concept_label(concept: Concept, ascii_ops: bool = False) -> str:
     return (
-        _braced(_object_names(concept), ascii_ops)
+        _braced(concept._object_names, ascii_ops)
         + " | "
-        + _braced(intent_names(concept), ascii_ops)
+        + _braced(concept._intent_names, ascii_ops)
     )
 
 
 def concepts_to_text(concepts: Sequence[Concept], ascii_ops: bool = False) -> str:
     lines = []
     for k, c in enumerate(concepts):
-        ext = _braced(_object_names(c), ascii_ops)
-        att = _braced(intent_names(c), ascii_ops)
+        ext = _braced(c._object_names, ascii_ops)
+        att = _braced(c._intent_names, ascii_ops)
         lines.append(f"C{k} = ({ext}, {att})")
     return "\n".join(lines) + "\n"
 
 
 def concept_json_obj(concept: Concept) -> dict:
     return {
-        "extent": [i + 1 for i in sorted(concept.extent)],
-        "intent": intent_names(concept),
+        "extent": [i + 1 for i in concept._sorted_extent],
+        "intent": list(concept._intent_names),
         "system": concept.system.value,
     }
 

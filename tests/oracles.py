@@ -8,9 +8,10 @@ library replaced, kept as references for their replacements:
 ``formal_concepts_next_closure`` (lectic-successor closure enumeration),
 ``covering_unions_lists`` (the cover search on candidate lists),
 ``strict_covers_per_object`` (one plain cover search per object outside
-the target) and ``vee_verdict_via_complement`` (disjunctive definability
-decided on the complemented table).  Sizes are desk scale; nothing here
-is meant to be fast.
+the target), ``cn_b_part_full_pool`` (the canonical cn b-part searched
+over every b-extent) and ``vee_verdict_via_complement`` (disjunctive
+definability decided on the complemented table).  Sizes are desk scale;
+nothing here is meant to be fast.
 """
 
 from __future__ import annotations
@@ -18,8 +19,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import combinations
 
-from granudesc import FormalContext, Reason, Status, Verdict, disj_of, evaluate
-from granudesc._bits import bits
+from granudesc import (
+    CompoundContext,
+    FormalContext,
+    Reason,
+    Status,
+    Verdict,
+    disj_of,
+    evaluate,
+)
+from granudesc._bits import bits, member_vector
 
 
 def column_extents(
@@ -305,6 +314,27 @@ def strict_covers_per_object(cands: list[int], target: int) -> list[int]:
         found.extend(covering_unions_lists(pool, target | low))
         extra ^= low
     return minimal_masks(found)
+
+
+def cn_b_part_full_pool(cctx: CompoundContext, x: int, a_part: int) -> int:
+    """The b-part of the canonical two-part intent of a covered granule.
+
+    The rule the trace-restricted pool replaced: the search runs over
+    every b-extent, and among the minimal covers of x it keeps the union
+    y with the fewest objects in the a-extent g, then the smaller, then
+    the least ``member_vector``; the b-part is every b-attribute whose
+    non-empty extent lies inside y.  Masks in, mask out.
+    """
+    n = cctx.n_objects
+    g = (1 << n) - 1
+    for j in bits(a_part):
+        g &= cctx.a_block.column_masks[j]
+    b_cols = cctx.b_block.column_masks
+    best = min(
+        minimal_masks(covering_unions_lists([c for c in b_cols if c], x)),
+        key=lambda y: ((g & y).bit_count(), y.bit_count(), member_vector(y, n)),
+    )
+    return sum(1 << j for j, c in enumerate(b_cols) if c and c & ~best == 0)
 
 
 def vee_verdict_via_complement(ctx: FormalContext, x: frozenset[int]) -> Verdict:

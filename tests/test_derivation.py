@@ -18,10 +18,13 @@ from granudesc import (
     compound_intent,
     extent,
     intent,
+    make_cn_context,
     necessity,
     possibility,
 )
+from granudesc._bits import mask_of, set_of
 
+from . import oracles
 from .conftest import attrs, obj_names, objs, random_cn_context, random_context
 
 # ---------------------------------------------------------------------------
@@ -275,3 +278,47 @@ def test_cn_closure_is_extensive(seed: int) -> None:
     if e.no_b_cover or not e.a_part:
         return
     assert cn_extent(cctx, e) >= x
+
+
+def test_cn_b_part_matches_full_pool_rule() -> None:
+    """The trace-restricted pool gives the b-part the full pool gives, on
+    covered random granules, and both of its paths run."""
+    paths = {"restricted": 0, "fallback": 0}
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_obj=st.integers(1, 9),
+        n_a=st.integers(1, 5),
+        n_b=st.integers(1, 6),
+        density=st.sampled_from([0.2, 0.5, 0.8]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def check(seed: int, n_obj: int, n_a: int, n_b: int, density: float) -> None:
+        rng = random.Random(seed)
+        cctx = random_cn_context(rng, n_obj, n_a, n_b, density)
+        x = mask_of(_subsets(rng, n_obj) & possibility(cctx.b_block, range(n_b)))
+        if not x:
+            return
+        got = cn_intent(cctx, set_of(x))
+        a_part = mask_of(got.a_part)
+        assert not got.no_b_cover
+        assert got.b_part == set_of(oracles.cn_b_part_full_pool(cctx, x, a_part))
+        outside = mask_of(extent(cctx.a_block, got.a_part)) & ~x
+        reach = 0
+        for c in cctx.b_block.column_masks:
+            if not c & outside:
+                reach |= c
+        paths["fallback" if x & ~reach else "restricted"] += 1
+
+    check()
+    assert paths["restricted"] and paths["fallback"], paths
+
+
+def test_cn_b_part_falls_back_to_every_b_extent() -> None:
+    # g = {1,2}, and the only b-extent meets g outside the granule {1}:
+    # the restricted pool is empty, so the b-part comes from the full pool
+    a = FormalContext(("1", "2"), ("a1",), ((True,), (True,)))
+    b = FormalContext(("1", "2"), ("b1",), ((True,), (True,)))
+    cctx = make_cn_context(a, b)
+    assert cn_intent(cctx, {0}) == CnIntent(frozenset({0}), frozenset({0}))
+    assert oracles.cn_b_part_full_pool(cctx, 0b01, 0b1) == 0b1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from granudesc import (
     possibility,
 )
 from granudesc.lattice import (
+    Concept,
     ConceptLattice,
     concept_join,
     concept_json_obj,
@@ -243,7 +245,11 @@ def test_cn_enumeration_matches_bruteforce(
     seed: int, n_obj: int, n_a: int, n_b: int, density: float
 ) -> None:
     cctx = random_cn_context(random.Random(seed), n_obj, n_a, n_b, density)
-    got = {c.extent for c in enumerate_cn(cctx)}
+    family = enumerate_cn(cctx)
+    for c in family:  # the mask-level listing agrees with the public call
+        assert c.intent == cn_intent(cctx, c.extent)
+        assert not c.intent.no_b_cover
+    got = {c.extent for c in family}
     want = oracles.cn_fixed_points(
         oracles.column_extents(cctx.a_incidence),
         oracles.column_extents(cctx.b_incidence),
@@ -463,3 +469,50 @@ def test_dot_output_shape(table1) -> None:
     assert '  c6 [label="{2,7} | {a1,a2}"];' in lines
     assert "  c0 -> c1;" in lines
     assert lines[-1] == "}" and dot.endswith("}\n")
+
+
+def _fresh(c: Concept) -> Concept:
+    return Concept(c.extent, c.intent, c.system, c.context)
+
+
+def _render(concepts: list[Concept], order: tuple[str, ...]) -> dict[str, object]:
+    lat = ConceptLattice(tuple(concepts), (), concepts[0].system)
+    run = {
+        "text": lambda: (concepts_to_text(concepts), concepts_to_text(concepts, True)),
+        "json": lambda: [concept_json_obj(c) for c in concepts],
+        "dot": lambda: (lattice_to_dot(lat), lattice_to_dot(lat, True)),
+        "names": lambda: [intent_names(c) for c in concepts],
+    }
+    return {name: run[name]() for name in order}
+
+
+@pytest.mark.parametrize("order", list(permutations(("text", "json", "dot", "names"))))
+def test_renderings_match_fresh_concepts_in_any_order(table1, table5, order) -> None:
+    lat = enumerate_formal(table1)
+    c1, c2 = lat.concepts[3], lat.concepts[4]
+    families = [
+        list(lat.concepts),
+        list(enumerate_object_oriented(table1).concepts),
+        list(enumerate_three_way(appose_negation(table1)).concepts),
+        enumerate_cn(table5),
+        [concept_meet(c1, c2), concept_join(c1, c2), concept_meet(c1, c1)],
+    ]
+    for concepts in families:
+        want = _render([_fresh(c) for c in concepts], ("text", "json", "dot", "names"))
+        assert _render(concepts, order) == want
+        assert _render(concepts, order[::-1]) == want
+
+
+def test_rendered_concepts_keep_equality_and_names(table1) -> None:
+    lat = enumerate_formal(table1)
+    c1, c2 = lat.concepts[3], lat.concepts[4]
+    for c in (*lat.concepts, concept_meet(c1, c2), concept_join(c1, c2)):
+        plain = _fresh(c)
+        names = intent_names(c)
+        names.append("zz")
+        concept_json_obj(c)["intent"].append("zz")
+        concept_label(c)
+        assert intent_names(c) == intent_names(plain)
+        assert "zz" not in intent_names(c)
+        assert c == plain and hash(c) == hash(plain)
+        assert c.sort_key() == plain.sort_key()
