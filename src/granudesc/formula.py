@@ -6,6 +6,12 @@ negated atom is only meaningful against a three-way compound, where it
 evaluates through the complement block.  Descriptions carry enough
 information to be rendered on their own and are re-checked against the
 context they are evaluated on.
+
+A context builds its atoms once, one row per block and polarity.  The
+builders (``conj_of``, ``disj_of``, ``three_way_conj``, ``conj_disj``)
+check their indices and take the atoms from those rows in order, so
+their output is trusted and skips the constructors' validation; a
+description built by hand or parsed is validated.
 """
 
 from __future__ import annotations
@@ -95,43 +101,74 @@ def _canonical_atoms(atoms: Sequence[Atom]) -> tuple[Atom, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _atoms(
-    names: tuple[str, ...], attrs: Iterable[int], block: Block = Block.A
+def _names(ctx: FormalContext | CompoundContext, block: Block) -> tuple[str, ...]:
+    if isinstance(ctx, FormalContext):
+        return ctx.attributes
+    return ctx.a_attributes if block is Block.A else ctx.b_attributes
+
+
+def _row(
+    ctx: FormalContext | CompoundContext, block: Block = Block.A, negated: bool = False
 ) -> tuple[Atom, ...]:
+    """The context's atoms of one block and polarity, by attribute index,
+    built on first use and kept in the instance dict as the cached masks
+    are, where equality, hashing and repr of the context do not see them."""
+    key = ("_atoms_not_" if negated else "_atoms_") + block._value_
+    row = ctx.__dict__.get(key)
+    if row is None:
+        row = tuple(
+            Atom(block, j, name, negated) for j, name in enumerate(_names(ctx, block))
+        )
+        ctx.__dict__[key] = row
+    return row
+
+
+def _pick(
+    row: tuple[Atom, ...], attrs: Iterable[int], what: str = "attribute"
+) -> tuple[Atom, ...]:
+    """The atoms of the given indices, in index order."""
     idx = sorted(set(attrs))
-    for j in idx:
-        if not 0 <= j < len(names):
-            raise ValueError(f"attribute index {j} out of range")
-    return tuple(Atom(block, j, names[j]) for j in idx)
+    if idx and not (0 <= idx[0] and idx[-1] < len(row)):
+        j = next(j for j in idx if not 0 <= j < len(row))
+        raise ValueError(f"{what} index {j} out of range")
+    return tuple(map(row.__getitem__, idx))
+
+
+def _trusted(cls: type, *parts: tuple[Atom, ...]) -> Description:
+    """A description of atom tuples taken in order from the context's rows;
+    they are sorted and distinct already, so ``__post_init__`` is skipped."""
+    if not all(parts):
+        raise GranuleDescError("a description needs at least one atom")
+    d = object.__new__(cls)
+    for field, atoms in zip(cls.__dataclass_fields__, parts):
+        object.__setattr__(d, field, atoms)
+    return d
 
 
 def conj_of(ctx: FormalContext, attrs: Iterable[int]) -> Conj:
-    return Conj(_atoms(ctx.attributes, attrs))
+    _require_flavor(ctx, None, "conj_of")
+    return _trusted(Conj, _pick(_row(ctx), attrs))
 
 
 def disj_of(ctx: FormalContext, attrs: Iterable[int]) -> Disj:
-    return Disj(_atoms(ctx.attributes, attrs))
+    _require_flavor(ctx, None, "disj_of")
+    return _trusted(Disj, _pick(_row(ctx), attrs))
 
 
 def three_way_conj(cctx: CompoundContext, flat_attrs: Iterable[int]) -> Conj:
-    """Conjunction over flattened indices; the b-block half becomes negated atoms."""
+    """Conjunction over flattened indices; the b-block half becomes negated
+    atoms, which keep the base name and index of their a-attribute."""
     _require_flavor(cctx, Flavor.THREE_WAY, "three_way_conj")
-    n = len(cctx.a_attributes)
-    atoms = []
-    for j in sorted(set(flat_attrs)):
-        if not 0 <= j < 2 * n:
-            raise ValueError(f"flattened attribute index {j} out of range")
-        # a negated atom keeps the base name and index of its a-attribute
-        atoms.append(Atom(Block.A, j % n, cctx.a_attributes[j % n], negated=j >= n))
-    return Conj(tuple(atoms))
+    row = _row(cctx) + _row(cctx, negated=True)
+    return _trusted(Conj, _pick(row, flat_attrs, "flattened attribute"))
 
 
 def conj_disj(
     cctx: CompoundContext, a_attrs: Iterable[int], b_attrs: Iterable[int]
 ) -> ConjDisj:
     _require_flavor(cctx, Flavor.COMMON_NECESSARY, "conj_disj")
-    return ConjDisj(
-        _atoms(cctx.a_attributes, a_attrs), _atoms(cctx.b_attributes, b_attrs, Block.B)
+    return _trusted(
+        ConjDisj, _pick(_row(cctx), a_attrs), _pick(_row(cctx, Block.B), b_attrs)
     )
 
 
@@ -234,26 +271,32 @@ def _resolve(ctx: FormalContext | CompoundContext, name: str, negated: bool) -> 
     plain = isinstance(ctx, FormalContext)
     if negated and (plain or ctx.flavor is not Flavor.THREE_WAY):
         raise GranuleDescError("negation needs a three-way compound")
-    a_names = ctx.attributes if plain else ctx.a_attributes
-    if name in a_names:
-        return Atom(Block.A, a_names.index(name), name, negated=negated)
-    if not plain and name in ctx.b_attributes:
-        if negated:
+    for block in (Block.A,) if plain else (Block.A, Block.B):
+        try:
+            j = _names(ctx, block).index(name)
+        except ValueError:
+            continue
+        if negated and block is Block.B:
             raise GranuleDescError(f"cannot negate complement attribute {name!r}")
-        return Atom(Block.B, ctx.b_attributes.index(name), name)
+        return _row(ctx, block, negated)[j]
     raise GranuleDescError(f"unknown attribute {name!r}")
 
 
-def _negations(tokens: list[str], i: int) -> tuple[int, bool]:
-    """Skip a run of negation signs from tokens[i]: the next index, and
-    whether any sign was seen."""
-    negated = False
-    while tokens[i] in ("¬", "!"):
-        negated = True
-        i += 1
-        if i >= len(tokens):
-            raise GranuleDescError("dangling negation")
-    return i, negated
+def _negation(tokens: list[str], i: int) -> tuple[int, bool]:
+    """Skip an optional negation sign at tokens[i]: the next index, and
+    whether there was one.  A run of signs is refused rather than read as
+    one negation; ``render`` never writes one."""
+    if tokens[i] not in ("¬", "!"):
+        return i, False
+    i += 1
+    if i >= len(tokens):
+        raise GranuleDescError("dangling negation")
+    if tokens[i] in ("¬", "!"):
+        raise GranuleDescError(
+            f"repeated negation {tokens[i - 1] + tokens[i]!r}: "
+            "an atom takes at most one negation sign"
+        )
+    return i, True
 
 
 def parse_description(text: str, ctx: FormalContext | CompoundContext) -> Description:
@@ -271,7 +314,7 @@ def parse_description(text: str, ctx: FormalContext | CompoundContext) -> Descri
     while i < len(tokens):
         tok = tokens[i]
         if expecting_term:
-            i, negated = _negations(tokens, i)
+            i, negated = _negation(tokens, i)
             tok = tokens[i]
             if tok == "(":
                 depth_names: list[tuple[str, bool]] = []
@@ -282,7 +325,7 @@ def parse_description(text: str, ctx: FormalContext | CompoundContext) -> Descri
                 while i < len(tokens) and tokens[i] != ")":
                     inner = tokens[i]
                     if expect_name:
-                        i, neg = _negations(tokens, i)
+                        i, neg = _negation(tokens, i)
                         inner = tokens[i]
                         if inner in ("(", ")", "∧", "∨", "&", "|"):
                             raise GranuleDescError(f"expected a name, got {inner!r}")

@@ -9,8 +9,10 @@ library replaced, kept as references for their replacements:
 ``covering_unions_lists`` (the cover search on candidate lists),
 ``strict_covers_per_object`` (one plain cover search per object outside
 the target), ``cn_b_part_full_pool`` (the canonical cn b-part searched
-over every b-extent) and ``vee_verdict_via_complement`` (disjunctive
-definability decided on the complemented table).  Sizes are desk scale;
+over every b-extent), ``vee_verdict_via_complement`` (disjunctive
+definability decided on the complemented table) and ``FRESH_BUILDERS``
+(the description builders making new atoms on every call and passing
+them through the validating constructors).  Sizes are desk scale;
 nothing here is meant to be fast.
 """
 
@@ -20,7 +22,12 @@ from collections.abc import Sequence
 from itertools import combinations
 
 from granudesc import (
+    Atom,
+    Block,
     CompoundContext,
+    Conj,
+    ConjDisj,
+    Disj,
     FormalContext,
     Reason,
     Status,
@@ -359,3 +366,36 @@ def vee_verdict_via_complement(ctx: FormalContext, x: frozenset[int]) -> Verdict
     if evaluate(ctx, d) != x:
         raise AssertionError(f"{d!r} does not describe {sorted(x)}")
     return Verdict(Status.DEFINABLE, description=d)
+
+
+def _fresh_atoms(
+    names: tuple[str, ...], attrs, block: Block = Block.A
+) -> tuple[Atom, ...]:
+    idx = sorted(set(attrs))
+    for j in idx:
+        if not 0 <= j < len(names):
+            raise ValueError(f"attribute index {j} out of range")
+    return tuple(Atom(block, j, names[j]) for j in idx)
+
+
+def _fresh_three_way_conj(cctx: CompoundContext, flat_attrs) -> Conj:
+    n = len(cctx.a_attributes)
+    atoms = []
+    for j in sorted(set(flat_attrs)):
+        if not 0 <= j < 2 * n:
+            raise ValueError(f"flattened attribute index {j} out of range")
+        atoms.append(Atom(Block.A, j % n, cctx.a_attributes[j % n], negated=j >= n))
+    return Conj(tuple(atoms))
+
+
+# the builders as they were before they took their atoms from the
+# context's rows, by the name of the builder they are the reference for
+FRESH_BUILDERS = {
+    "conj_of": lambda ctx, attrs: Conj(_fresh_atoms(ctx.attributes, attrs)),
+    "disj_of": lambda ctx, attrs: Disj(_fresh_atoms(ctx.attributes, attrs)),
+    "three_way_conj": _fresh_three_way_conj,
+    "conj_disj": lambda cctx, a_attrs, b_attrs: ConjDisj(
+        _fresh_atoms(cctx.a_attributes, a_attrs),
+        _fresh_atoms(cctx.b_attributes, b_attrs, Block.B),
+    ),
+}

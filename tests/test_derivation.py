@@ -170,6 +170,8 @@ WRONG_KIND = [
     ("enumerate_cn", "table1", None),
     ("three_way_conj", "table1", ()),
     ("conj_disj", "table1", ({0},)),
+    ("conj_of", "table3", ()),
+    ("disj_of", "table3", ()),
     ("is_wedge_definable", "table3", ()),
     ("is_vee_definable", "table5", ()),
     ("find_covering_elements", "table3", ()),

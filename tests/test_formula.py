@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from granudesc import (
     FlavorMismatch,
     FormalContext,
     GranuleDescError,
+    appose_negation,
     conj_disj,
     conj_of,
     disj_of,
@@ -27,7 +29,10 @@ from granudesc import (
     three_way_conj,
 )
 
-from .conftest import attrs, obj_names, objs, random_context
+from granudesc import formula
+
+from .conftest import attrs, obj_names, objs, random_cn_context, random_context
+from .oracles import FRESH_BUILDERS
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +72,97 @@ def test_conj_disj_block_discipline() -> None:
         ConjDisj((a(0, "a1"),), (a(1, "a2"),))
     with pytest.raises(GranuleDescError):
         ConjDisj((), (b,))
+
+
+# ---------------------------------------------------------------------------
+# the builders' trusted path against the fresh-atom reference
+# ---------------------------------------------------------------------------
+
+
+def _outcome(build, *args):
+    """What a builder returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _index_list(rng: random.Random, width: int) -> list[int]:
+    """Indices in range(width) in any order, some twice; now and then
+    none, or one below or above the range."""
+    chosen = [j for j in range(width) if rng.random() < 0.4]
+    chosen += rng.sample(chosen, len(chosen) // 2)
+    r = rng.random()
+    if r < 0.15:
+        chosen.append(rng.choice([-1 - rng.randrange(3), width + rng.randrange(3)]))
+    elif r < 0.25:
+        chosen = []
+    rng.shuffle(chosen)
+    return chosen
+
+
+def _all_atoms(d) -> tuple[Atom, ...]:
+    return d.conj_atoms + d.disj_atoms if isinstance(d, ConjDisj) else d.atoms
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["plain", "three_way", "cn"]),
+    n_obj=st.integers(1, 6),
+    n_att=st.integers(1, 6),
+    n_b=st.integers(1, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_builders_match_fresh_atom_reference(
+    seed: int, kind: str, n_obj: int, n_att: int, n_b: int
+) -> None:
+    rng = random.Random(seed)
+    if kind == "plain":
+        ctx = random_context(rng, n_obj, n_att, 0.4)
+        calls = [("conj_of", (n_att,)), ("disj_of", (n_att,))]
+    elif kind == "three_way":
+        ctx = appose_negation(random_context(rng, n_obj, n_att, 0.4))
+        calls = [("three_way_conj", (2 * n_att,))]
+    else:
+        ctx = random_cn_context(rng, n_obj, n_att, n_b, 0.4)
+        calls = [("conj_disj", (n_att, n_b))]
+    twin = dataclasses.replace(ctx)
+    for name, widths in calls:
+        for _ in range(8):
+            index_lists = [_index_list(rng, w) for w in widths]
+            built = _outcome(getattr(formula, name), ctx, *index_lists)
+            ref = _outcome(FRESH_BUILDERS[name], ctx, *index_lists)
+            assert built == ref
+            if isinstance(ref, tuple):  # both raised, alike
+                continue
+            assert type(built) is type(ref)
+            assert hash(built) == hash(ref) and repr(built) == repr(ref)
+            for ascii_ops in (False, True):
+                text = render(built, ascii_ops=ascii_ops)
+                assert text == render(ref, ascii_ops=ascii_ops)
+                again = parse_description(text, ctx)
+                # a one-atom disjunction reads back as a conjunction
+                assert again == built or (
+                    isinstance(built, Disj)
+                    and len(built.atoms) == 1
+                    and again == Conj(built.atoms)
+                )
+            twice = getattr(formula, name)(ctx, *index_lists)
+            assert all(x is y for x, y in zip(_all_atoms(twice), _all_atoms(built)))
+    # the atom rows kept on the context change none of its identity
+    assert ctx == twin and hash(ctx) == hash(twin) and repr(ctx) == repr(twin)
+
+
+def test_builder_errors_keep_their_order(table5: CompoundContext) -> None:
+    for a_attrs, b_attrs in [(set(), {99}), ({-1}, {99}), ({99}, set()), (set(), {0})]:
+        built = _outcome(conj_disj, table5, a_attrs, b_attrs)
+        assert built == _outcome(FRESH_BUILDERS["conj_disj"], table5, a_attrs, b_attrs)
+    assert _outcome(conj_disj, table5, set(), {99}) == (
+        ValueError, "attribute index 99 out of range"
+    )
+    assert _outcome(conj_disj, table5, {0}, set()) == (
+        GranuleDescError, "a description needs at least one atom"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +288,12 @@ def test_parse_negated(table3: CompoundContext) -> None:
     assert isinstance(d, Conj)
     assert render(d) == "a1 ∧ ¬a4"
     assert parse_description("a1 & !a4", table3) == d
+
+
+@pytest.mark.parametrize("text", ["!!a1", "¬¬a1", "a2 & !¬a1", "! ! a1"])
+def test_parse_refuses_repeated_negation(table3: CompoundContext, text: str) -> None:
+    with pytest.raises(GranuleDescError, match="repeated negation"):
+        parse_description(text, table3)
 
 
 def test_parse_errors(table1: FormalContext, table5: CompoundContext) -> None:
