@@ -109,6 +109,7 @@ def _covering_unions(pool: list[int], target: int) -> list[int]:
             rec(pu | pool[low.bit_length() - 1], best | rest)
 
     rec(0, (1 << len(pool)) - 1)
+    del rec  # rec refers to itself through its closure cell
     return found
 
 

@@ -7,12 +7,13 @@ evaluates through the complement block.  Descriptions carry enough
 information to be rendered on their own and are re-checked against the
 context they are evaluated on.
 
-A context builds its atoms once, one row per block and polarity.  The
-builders (``conj_of``, ``disj_of``, ``three_way_conj``, ``conj_disj``)
-check their indices and take the atoms from those rows in order, so
-their output is trusted and skips the constructors' validation; a
-description built by hand or parsed is validated.
-"""
+Each context keeps one table of the atom kinds it admits, and building,
+reading and evaluating all resolve atoms through it.  The builders
+(``conj_of``, ``disj_of``, ``three_way_conj``, ``conj_disj``) check their
+indices and take their atoms from it in order, so their output is trusted
+and skips the constructors' validation; a description built by hand or
+parsed is validated.  ``parse_description`` reads the text in one pass; a
+name is a run of non-operator characters, inner whitespace kept."""
 
 from __future__ import annotations
 
@@ -101,26 +102,40 @@ def _canonical_atoms(atoms: Sequence[Atom]) -> tuple[Atom, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _names(ctx: FormalContext | CompoundContext, block: Block) -> tuple[str, ...]:
-    if isinstance(ctx, FormalContext):
-        return ctx.attributes
-    return ctx.a_attributes if block is Block.A else ctx.b_attributes
+def _kinds(ctx: FormalContext | CompoundContext) -> dict[tuple[str, bool], tuple]:
+    """The atom kinds the context admits, keyed by (block value, negated),
+    each with its names, object columns and atoms by attribute index:
+    positive a on a plain table, positive a and b on a compound, and on a
+    three-way compound also negated a, which keeps the a-names and reads
+    the paired b column.  Built on first use and kept in the instance dict
+    as the cached masks are, where equality, hashing and repr of the
+    context do not see it."""
+    kinds = ctx.__dict__.get("_atom_kinds")
+    if kinds is None:
+        if isinstance(ctx, FormalContext):
+            spec = [("a", False, ctx, ctx)]
+        else:
+            a, b = ctx.a_block, ctx.b_block
+            spec = [("a", False, a, a), ("b", False, b, b)]
+            if ctx.flavor is Flavor.THREE_WAY:
+                spec.append(("a", True, a, b))
+        kinds = {
+            (v, neg): (
+                names.attributes,
+                cols.column_masks,
+                tuple(Atom(Block(v), j, n, neg) for j, n in enumerate(names.attributes)),
+            )
+            for v, neg, names, cols in spec
+        }
+        ctx.__dict__["_atom_kinds"] = kinds
+    return kinds
 
 
 def _row(
-    ctx: FormalContext | CompoundContext, block: Block = Block.A, negated: bool = False
+    ctx: FormalContext | CompoundContext, block: str = "a", negated: bool = False
 ) -> tuple[Atom, ...]:
-    """The context's atoms of one block and polarity, by attribute index,
-    built on first use and kept in the instance dict as the cached masks
-    are, where equality, hashing and repr of the context do not see them."""
-    key = ("_atoms_not_" if negated else "_atoms_") + block._value_
-    row = ctx.__dict__.get(key)
-    if row is None:
-        row = tuple(
-            Atom(block, j, name, negated) for j, name in enumerate(_names(ctx, block))
-        )
-        ctx.__dict__[key] = row
-    return row
+    """The context's atoms of one block and polarity, by attribute index."""
+    return _kinds(ctx)[block, negated][2]
 
 
 def _pick(
@@ -168,7 +183,7 @@ def conj_disj(
 ) -> ConjDisj:
     _require_flavor(cctx, Flavor.COMMON_NECESSARY, "conj_disj")
     return _trusted(
-        ConjDisj, _pick(_row(cctx), a_attrs), _pick(_row(cctx, Block.B), b_attrs)
+        ConjDisj, _pick(_row(cctx), a_attrs), _pick(_row(cctx, "b"), b_attrs)
     )
 
 
@@ -178,31 +193,12 @@ def conj_disj(
 
 
 def _atom_column(ctx: FormalContext | CompoundContext, atom: Atom) -> int:
-    """Object mask of the atom, checking that it resolves in this context."""
-    if isinstance(ctx, FormalContext):
-        if atom.negated:
-            raise GranuleDescError(
-                f"negated atom {atom.name!r} needs a three-way compound"
-            )
-        if atom.block is not Block.A:
-            raise GranuleDescError(f"atom {atom.name!r} names a missing block")
-        names, cols = ctx.attributes, ctx.column_masks
-    elif atom.block is Block.A:
-        if atom.negated:
-            if ctx.flavor is not Flavor.THREE_WAY:
-                raise GranuleDescError(
-                    f"negated atom {atom.name!r} needs a three-way compound"
-                )
-            # negated atoms keep the base attribute name; the column is the
-            # paired complement column at the same index
-            names, cols = ctx.a_attributes, ctx.b_block.column_masks
-        else:
-            names, cols = ctx.a_attributes, ctx.a_block.column_masks
-    else:
-        names, cols = ctx.b_attributes, ctx.b_block.column_masks
-    if not 0 <= atom.index < len(names) or names[atom.index] != atom.name:
+    """Object mask of the atom, checking that its kind, index and name
+    resolve in this context."""
+    kind = _kinds(ctx).get((atom.block._value_, atom.negated))
+    if kind is None or not 0 <= atom.index < len(kind[0]) or kind[0][atom.index] != atom.name:
         raise GranuleDescError(f"atom {atom.name!r} does not resolve in this context")
-    return cols[atom.index]
+    return kind[1][atom.index]
 
 
 def _satisfying(ctx: FormalContext | CompoundContext, d: Description) -> int:
@@ -262,120 +258,102 @@ def render(d: Description, ascii_ops: bool = False) -> str:
     raise TypeError(f"not a description: {d!r}")
 
 
+_SYMBOLS = "()&|!∧∨¬"
+_NOT = ("¬", "!")
+_AND = ("∧", "&")
+_OR = ("∨", "|")
 # every non-space character starts some token, so scanning with findall
-# loses nothing but whitespace
-_TOKEN = re.compile(r"\s*(\(|\)|∧|∨|¬|&|\||!|[^\s()&|!∧∨¬]+)")
+# loses nothing but whitespace; a name is a run of non-operator
+# characters, its inner whitespace kept
+_TOKEN = re.compile(rf"\s*([{_SYMBOLS}]|[^\s{_SYMBOLS}](?:[^{_SYMBOLS}]*[^\s{_SYMBOLS}])?)")
 
 
 def _resolve(ctx: FormalContext | CompoundContext, name: str, negated: bool) -> Atom:
-    plain = isinstance(ctx, FormalContext)
-    if negated and (plain or ctx.flavor is not Flavor.THREE_WAY):
+    kinds = _kinds(ctx)
+    if negated and ("a", True) not in kinds:
         raise GranuleDescError("negation needs a three-way compound")
-    for block in (Block.A,) if plain else (Block.A, Block.B):
-        try:
-            j = _names(ctx, block).index(name)
-        except ValueError:
-            continue
-        if negated and block is Block.B:
-            raise GranuleDescError(f"cannot negate complement attribute {name!r}")
-        return _row(ctx, block, negated)[j]
+    for (block, neg), (names, _, _) in kinds.items():
+        if not neg and name in names:
+            kind = kinds.get((block, negated))
+            if kind is None:
+                raise GranuleDescError(f"cannot negate complement attribute {name!r}")
+            return kind[2][names.index(name)]
     raise GranuleDescError(f"unknown attribute {name!r}")
 
 
-def _negation(tokens: list[str], i: int) -> tuple[int, bool]:
-    """Skip an optional negation sign at tokens[i]: the next index, and
-    whether there was one.  A run of signs is refused rather than read as
-    one negation; ``render`` never writes one."""
-    if tokens[i] not in ("¬", "!"):
-        return i, False
-    i += 1
-    if i >= len(tokens):
-        raise GranuleDescError("dangling negation")
-    if tokens[i] in ("¬", "!"):
-        raise GranuleDescError(
-            f"repeated negation {tokens[i - 1] + tokens[i]!r}: "
-            "an atom takes at most one negation sign"
-        )
-    return i, True
+def _name(tokens: list[str], i: int) -> tuple[int, tuple[str, bool]]:
+    """Read an optionally negated name at tokens[i]: the index of the name
+    and the name with whether it was negated.  A run of signs is refused
+    rather than read as one negation; ``render`` never writes one."""
+    negated = tokens[i] in _NOT
+    if negated:
+        i += 1
+        if i == len(tokens):
+            raise GranuleDescError("dangling negation")
+        if tokens[i] in _NOT:
+            raise GranuleDescError(
+                f"repeated negation {tokens[i - 1] + tokens[i]!r}: "
+                "an atom takes at most one negation sign"
+            )
+    if tokens[i] in _SYMBOLS:
+        raise GranuleDescError(f"expected a name, got {tokens[i]!r}")
+    return i, (tokens[i], negated)
 
 
 def parse_description(text: str, ctx: FormalContext | CompoundContext) -> Description:
-    """Parse one connective level: atoms joined by all-and or all-or, with
-    an optional single parenthesized disjunct inside a conjunction."""
+    """Read one connective level in one left-to-right pass: atoms joined by
+    all-and or all-or, with an optional single parenthesized disjunct
+    inside a conjunction.  Names resolve once the whole text has been
+    read, so a syntax error is reported before an unknown name."""
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise GranuleDescError("empty description")
-
-    # items: ("atom", Atom) or ("group", [Atom, ...]); ops: "and"/"or"
-    items: list[tuple[str, object]] = []
-    ops: list[str] = []
-    expecting_term = True
+    plain: list[tuple[str, bool]] = []
+    groups: list[list[tuple[str, bool]]] = []
+    group = None  # the open parenthesized group, while inside one
+    ops = set()  # the top-level connectives, as "and"/"or"
+    term = True  # whether a name or a group comes next
     i = 0
     while i < len(tokens):
         tok = tokens[i]
-        if expecting_term:
-            i, negated = _negation(tokens, i)
-            tok = tokens[i]
-            if tok == "(":
-                depth_names: list[tuple[str, bool]] = []
-                if negated:
-                    raise GranuleDescError("cannot negate a group")
-                i += 1
-                expect_name = True
-                while i < len(tokens) and tokens[i] != ")":
-                    inner = tokens[i]
-                    if expect_name:
-                        i, neg = _negation(tokens, i)
-                        inner = tokens[i]
-                        if inner in ("(", ")", "∧", "∨", "&", "|"):
-                            raise GranuleDescError(f"expected a name, got {inner!r}")
-                        depth_names.append((inner, neg))
-                    else:
-                        if inner not in ("∨", "|"):
-                            raise GranuleDescError(
-                                "a parenthesized group must be a disjunction"
-                            )
-                    expect_name = not expect_name
-                    i += 1
-                if i >= len(tokens):
-                    raise GranuleDescError("unclosed parenthesis")
-                if expect_name or not depth_names:
-                    raise GranuleDescError("malformed parenthesized group")
-                items.append(("group", depth_names))
-            elif tok in (")", "∧", "∨", "&", "|"):
-                raise GranuleDescError(f"expected a name, got {tok!r}")
-            else:
-                items.append(("atom", (tok, negated)))
-            expecting_term = False
+        if term and group is None and tok == "(":
+            group = []
+            groups.append(group)
+        elif term and group is None and tok in _NOT and tokens[i + 1 : i + 2] == ["("]:
+            raise GranuleDescError("cannot negate a group")
+        elif term and group is not None and tok == ")":
+            raise GranuleDescError("malformed parenthesized group")
+        elif term:
+            i, atom = _name(tokens, i)
+            (plain if group is None else group).append(atom)
+            term = False
+        elif group is not None and tok == ")":
+            group = None
+        elif group is not None:
+            if tok not in _OR:
+                raise GranuleDescError("a parenthesized group must be a disjunction")
+            term = True
+        elif tok in _AND or tok in _OR:
+            ops.add("and" if tok in _AND else "or")
+            term = True
         else:
-            if tok in ("∧", "&"):
-                ops.append("and")
-            elif tok in ("∨", "|"):
-                ops.append("or")
-            else:
-                raise GranuleDescError(f"expected a connective, got {tok!r}")
-            expecting_term = True
+            raise GranuleDescError(f"expected a connective, got {tok!r}")
         i += 1
-    if expecting_term:
+    if group is not None:
+        raise GranuleDescError("unclosed parenthesis")
+    if term:
         raise GranuleDescError("description ends with a connective")
-    if ops and len(set(ops)) > 1:
+    if len(ops) > 1:
         raise GranuleDescError("mixing ∧ and ∨ needs parentheses")
 
-    groups = [it for it in items if it[0] == "group"]
-    plain = [it[1] for it in items if it[0] == "atom"]
-    if groups:
-        if len(groups) > 1:
-            raise GranuleDescError("at most one parenthesized group is allowed")
-        if not plain or (ops and ops[0] != "and"):
-            raise GranuleDescError("a parenthesized disjunct must sit in a conjunction")
-        conj_atoms = tuple(_resolve(ctx, n, neg) for n, neg in plain)
-        disj_atoms = tuple(_resolve(ctx, n, neg) for n, neg in groups[0][1])
-        if not isinstance(ctx, CompoundContext) or ctx.flavor is not Flavor.COMMON_NECESSARY:
-            raise GranuleDescError(
-                "a conjunction with a disjunct needs a common_necessary compound"
-            )
-        return ConjDisj(conj_atoms, disj_atoms)
-    atoms = tuple(_resolve(ctx, n, neg) for n, neg in plain)
-    if ops and ops[0] == "or":
-        return Disj(atoms)
-    return Conj(atoms)
+    if len(groups) > 1:
+        raise GranuleDescError("at most one parenthesized group is allowed")
+    if groups and (not plain or "or" in ops):
+        raise GranuleDescError("a parenthesized disjunct must sit in a conjunction")
+    atoms = tuple(_resolve(ctx, *n) for n in plain)
+    if not groups:
+        return Disj(atoms) if "or" in ops else Conj(atoms)
+    disj_atoms = tuple(_resolve(ctx, *n) for n in groups[0])
+    if not isinstance(ctx, CompoundContext) or ctx.flavor is not Flavor.COMMON_NECESSARY:
+        raise GranuleDescError("a conjunction with a disjunct needs a common_necessary compound")
+    return ConjDisj(atoms, disj_atoms)

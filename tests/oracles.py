@@ -10,14 +10,17 @@ library replaced, kept as references for their replacements:
 ``strict_covers_per_object`` (one plain cover search per object outside
 the target), ``cn_b_part_full_pool`` (the canonical cn b-part searched
 over every b-extent), ``vee_verdict_via_complement`` (disjunctive
-definability decided on the complemented table) and ``FRESH_BUILDERS``
+definability decided on the complemented table), ``FRESH_BUILDERS``
 (the description builders making new atoms on every call and passing
-them through the validating constructors).  Sizes are desk scale;
+them through the validating constructors) and
+``parse_description_scanner`` (the token scanner the one-pass
+description reader replaced).  Sizes are desk scale;
 nothing here is meant to be fast.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from itertools import combinations
 
@@ -27,8 +30,11 @@ from granudesc import (
     CompoundContext,
     Conj,
     ConjDisj,
+    Description,
     Disj,
+    Flavor,
     FormalContext,
+    GranuleDescError,
     Reason,
     Status,
     Verdict,
@@ -399,3 +405,129 @@ FRESH_BUILDERS = {
         _fresh_atoms(cctx.b_attributes, b_attrs, Block.B),
     ),
 }
+
+
+# the description parser as it was before the one-pass reader, names
+# resolved from the public context fields into fresh atoms
+
+# every non-space character starts some token, so scanning with findall
+# loses nothing but whitespace
+_TOKEN = re.compile(r"\s*(\(|\)|∧|∨|¬|&|\||!|[^\s()&|!∧∨¬]+)")
+
+
+def _resolve(ctx: FormalContext | CompoundContext, name: str, negated: bool) -> Atom:
+    plain = isinstance(ctx, FormalContext)
+    if negated and (plain or ctx.flavor is not Flavor.THREE_WAY):
+        raise GranuleDescError("negation needs a three-way compound")
+    if plain:
+        blocks = ((Block.A, ctx.attributes),)
+    else:
+        blocks = ((Block.A, ctx.a_attributes), (Block.B, ctx.b_attributes))
+    for block, names in blocks:
+        if name not in names:
+            continue
+        if negated and block is Block.B:
+            raise GranuleDescError(f"cannot negate complement attribute {name!r}")
+        return Atom(block, names.index(name), name, negated)
+    raise GranuleDescError(f"unknown attribute {name!r}")
+
+
+def _negation(tokens: list[str], i: int) -> tuple[int, bool]:
+    """Skip an optional negation sign at tokens[i]: the next index, and
+    whether there was one.  A run of signs is refused rather than read as
+    one negation; ``render`` never writes one."""
+    if tokens[i] not in ("¬", "!"):
+        return i, False
+    i += 1
+    if i >= len(tokens):
+        raise GranuleDescError("dangling negation")
+    if tokens[i] in ("¬", "!"):
+        raise GranuleDescError(
+            f"repeated negation {tokens[i - 1] + tokens[i]!r}: "
+            "an atom takes at most one negation sign"
+        )
+    return i, True
+
+
+def parse_description_scanner(text: str, ctx: FormalContext | CompoundContext) -> Description:
+    """Parse one connective level: atoms joined by all-and or all-or, with
+    an optional single parenthesized disjunct inside a conjunction.  The
+    token scanner ``parse_description`` replaced; whitespace ends a name
+    here, so two names with only whitespace between them are refused."""
+    tokens = _TOKEN.findall(text)
+    if not tokens:
+        raise GranuleDescError("empty description")
+
+    # items: ("atom", Atom) or ("group", [Atom, ...]); ops: "and"/"or"
+    items: list[tuple[str, object]] = []
+    ops: list[str] = []
+    expecting_term = True
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if expecting_term:
+            i, negated = _negation(tokens, i)
+            tok = tokens[i]
+            if tok == "(":
+                depth_names: list[tuple[str, bool]] = []
+                if negated:
+                    raise GranuleDescError("cannot negate a group")
+                i += 1
+                expect_name = True
+                while i < len(tokens) and tokens[i] != ")":
+                    inner = tokens[i]
+                    if expect_name:
+                        i, neg = _negation(tokens, i)
+                        inner = tokens[i]
+                        if inner in ("(", ")", "∧", "∨", "&", "|"):
+                            raise GranuleDescError(f"expected a name, got {inner!r}")
+                        depth_names.append((inner, neg))
+                    else:
+                        if inner not in ("∨", "|"):
+                            raise GranuleDescError(
+                                "a parenthesized group must be a disjunction"
+                            )
+                    expect_name = not expect_name
+                    i += 1
+                if i >= len(tokens):
+                    raise GranuleDescError("unclosed parenthesis")
+                if expect_name or not depth_names:
+                    raise GranuleDescError("malformed parenthesized group")
+                items.append(("group", depth_names))
+            elif tok in (")", "∧", "∨", "&", "|"):
+                raise GranuleDescError(f"expected a name, got {tok!r}")
+            else:
+                items.append(("atom", (tok, negated)))
+            expecting_term = False
+        else:
+            if tok in ("∧", "&"):
+                ops.append("and")
+            elif tok in ("∨", "|"):
+                ops.append("or")
+            else:
+                raise GranuleDescError(f"expected a connective, got {tok!r}")
+            expecting_term = True
+        i += 1
+    if expecting_term:
+        raise GranuleDescError("description ends with a connective")
+    if ops and len(set(ops)) > 1:
+        raise GranuleDescError("mixing ∧ and ∨ needs parentheses")
+
+    groups = [it for it in items if it[0] == "group"]
+    plain = [it[1] for it in items if it[0] == "atom"]
+    if groups:
+        if len(groups) > 1:
+            raise GranuleDescError("at most one parenthesized group is allowed")
+        if not plain or (ops and ops[0] != "and"):
+            raise GranuleDescError("a parenthesized disjunct must sit in a conjunction")
+        conj_atoms = tuple(_resolve(ctx, n, neg) for n, neg in plain)
+        disj_atoms = tuple(_resolve(ctx, n, neg) for n, neg in groups[0][1])
+        if not isinstance(ctx, CompoundContext) or ctx.flavor is not Flavor.COMMON_NECESSARY:
+            raise GranuleDescError(
+                "a conjunction with a disjunct needs a common_necessary compound"
+            )
+        return ConjDisj(conj_atoms, disj_atoms)
+    atoms = tuple(_resolve(ctx, n, neg) for n, neg in plain)
+    if ops and ops[0] == "or":
+        return Disj(atoms)
+    return Conj(atoms)

@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from granudesc import (
@@ -23,6 +23,7 @@ from granudesc import (
     disj_of,
     evaluate,
     extent,
+    make_cn_context,
     parse_description,
     possibility,
     render,
@@ -32,7 +33,8 @@ from granudesc import (
 from granudesc import formula
 
 from .conftest import attrs, obj_names, objs, random_cn_context, random_context
-from .oracles import FRESH_BUILDERS
+from .oracles import FRESH_BUILDERS, column_extents, parse_description_scanner
+from .oracles import _TOKEN as SCANNER_TOKEN
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +206,79 @@ def test_evaluate_rejects_unresolvable_atoms(table1: FormalContext, table5) -> N
         evaluate(table5, ConjDisj((a(0, "a1"),), (Atom(Block.B, 9, "b99"),)))
 
 
+def test_evaluate_refuses_negated_b_atoms(table3: CompoundContext, table5) -> None:
+    # only the a-block of a three-way compound has negated atoms
+    for ctx, name in [(table3, "not_a1"), (table5, "b1")]:
+        with pytest.raises(GranuleDescError, match="does not resolve"):
+            evaluate(ctx, Conj((Atom(Block.B, 0, name, negated=True),)))
+
+
+# the atom kinds each context admits, by (block, negated)
+ADMITTED = {
+    "plain": {(Block.A, False)},
+    "three_way": {(Block.A, False), (Block.B, False), (Block.A, True)},
+    "cn": {(Block.A, False), (Block.B, False)},
+}
+
+
+def _kind_columns(ctx, kind: str) -> dict:
+    """Names and object sets of all four atom kinds, read from the raw
+    incidence; a negated atom keeps its name and holds where it fails.  A
+    plain table lends its one block to both, as a hand-built atom may."""
+    if kind == "plain":
+        a_names = b_names = ctx.attributes
+        a_cols = b_cols = column_extents(ctx.incidence)
+    else:
+        a_names, b_names = ctx.a_attributes, ctx.b_attributes
+        a_cols, b_cols = column_extents(ctx.a_incidence), column_extents(ctx.b_incidence)
+    universe = frozenset(range(ctx.n_objects))
+    return {
+        (Block.A, False): (a_names, a_cols),
+        (Block.B, False): (b_names, b_cols),
+        (Block.A, True): (a_names, [universe - c for c in a_cols]),
+        (Block.B, True): (b_names, [universe - c for c in b_cols]),
+    }
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["plain", "three_way", "cn"]),
+    n_obj=st.integers(1, 6),
+    n_att=st.integers(1, 5),
+    n_b=st.integers(1, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_admitted_atom_resolves_and_no_other(
+    seed: int, kind: str, n_obj: int, n_att: int, n_b: int
+) -> None:
+    rng = random.Random(seed)
+    if kind == "plain":
+        ctx = random_context(rng, n_obj, n_att, 0.4)
+    elif kind == "three_way":
+        ctx = appose_negation(random_context(rng, n_obj, n_att, 0.4))
+    else:
+        ctx = random_cn_context(rng, n_obj, n_att, n_b, 0.4)
+    for (block, negated), (names, cols) in _kind_columns(ctx, kind).items():
+        admitted = (block, negated) in ADMITTED[kind]
+        for j, name in enumerate(names):
+            atom = Atom(block, j, name, negated)
+            if admitted:
+                assert evaluate(ctx, Conj((atom,))) == cols[j]
+            else:
+                with pytest.raises(GranuleDescError, match="does not resolve"):
+                    evaluate(ctx, Conj((atom,)))
+        j = rng.randrange(len(names))
+        wrong = [
+            Atom(block, -1, names[-1], negated),
+            Atom(block, len(names), names[j], negated),
+            Atom(block, j, names[j] + "x", negated),
+            Atom(block, j, names[j - 1] if len(names) > 1 else "zzz", negated),
+        ]
+        for atom in wrong:
+            with pytest.raises(GranuleDescError, match="does not resolve"):
+                evaluate(ctx, Conj((atom,)))
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_obj=st.integers(1, 8),
@@ -323,3 +398,69 @@ def test_parse_render_round_trip(table1, table3, table5) -> None:
         for ascii_ops in (False, True):
             again = parse_description(render(d, ascii_ops=ascii_ops), ctx)
             assert evaluate(ctx, again) == evaluate(ctx, d)
+
+
+_NAME_WORDS = st.text(alphabet="abxyz_019", min_size=1, max_size=3)
+_SPACED_NAMES = st.lists(
+    st.builds(
+        lambda words, sep: sep.join(words),
+        st.lists(_NAME_WORDS, min_size=1, max_size=3),
+        st.sampled_from([" ", "  ", "\t", " \t "]),
+    ),
+    min_size=2,
+    max_size=4,
+    unique=True,
+)
+
+
+@given(a_names=_SPACED_NAMES, b_names=_SPACED_NAMES, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_names_with_inner_spaces_round_trip(a_names, b_names, seed: int) -> None:
+    rng = random.Random(seed)
+    b_names = [f"b {n}" for n in b_names]  # distinct from the a-names
+    rows = [[rng.random() < 0.5 for _ in a_names] for _ in range(3)]
+    plain = FormalContext(("1", "2", "3"), tuple(a_names), rows)
+    b_rows = [[rng.random() < 0.5 for _ in b_names] for _ in range(3)]
+    cn = make_cn_context(plain, FormalContext(plain.objects, tuple(b_names), b_rows))
+    n = len(a_names)
+    samples = [
+        (plain, conj_of(plain, range(n))),
+        (plain, disj_of(plain, range(n))),
+        (appose_negation(plain), three_way_conj(appose_negation(plain), range(2 * n))),
+        (cn, conj_disj(cn, {0}, range(len(b_names)))),
+    ]
+    for ctx, d in samples:
+        for ascii_ops in (False, True):
+            assert parse_description(render(d, ascii_ops), ctx) == d
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader against the token scanner it replaced
+# ---------------------------------------------------------------------------
+
+_SYMBOLS = ["(", ")", "∧", "∨", "¬", "&", "|", "!"]
+_PIECES = _SYMBOLS + ["a1", "a4", "a5", "not_a1", "not_a3", "b1", "b2", "zzz", "a", " ", "\t"]
+
+
+def _names_side_by_side(text: str) -> bool:
+    """Whether the scanner's tokens put two names next to each other,
+    which it refuses and the reader takes for one spaced name."""
+    tokens = SCANNER_TOKEN.findall(text)
+    return any(
+        x not in _SYMBOLS and y not in _SYMBOLS for x, y in zip(tokens, tokens[1:])
+    )
+
+
+@given(
+    pieces=st.lists(
+        st.tuples(st.sampled_from(_PIECES), st.sampled_from(["", " ", "  "])), max_size=10
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_scanner(table1, table3, table5, pieces) -> None:
+    text = "".join(p + sep for p, sep in pieces)
+    assume(not _names_side_by_side(text))
+    for ctx in (table1, table3, table5):
+        assert _outcome(parse_description, text, ctx) == _outcome(
+            parse_description_scanner, text, ctx
+        )

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import granudesc
-from granudesc import _kernel
+from granudesc import _kernel, parse_description
 from granudesc._bits import mask_of, set_of
 
 from . import oracles
@@ -124,6 +125,28 @@ def test_cover_search_matches_list_search_at_bounds_scale(seed: int, union_targe
     assert _kernel.minimal_cover_unions(cands, target) == plain
     strict = oracles.strict_covers_per_object(cands, target)
     assert _kernel.minimal_cover_unions(cands, target, True) == strict
+
+
+def _garbage_after(call) -> int:
+    """Unreachable objects the cyclic collector finds after one call,
+    with the collector off meanwhile."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_calls_leave_no_reference_cycles(table3) -> None:
+    # a cycle lives until the collector runs; these calls leave none
+    cover = lambda: _kernel.minimal_cover_unions([0b011, 0b110, 0b100], 0b111)
+    assert cover() == [0b111]
+    assert _garbage_after(cover) == 0
+    assert _garbage_after(lambda: parse_description("a1 & !a4", table3)) == 0
 
 
 # ---------------------------------------------------------------------------
