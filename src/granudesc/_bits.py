@@ -29,10 +29,6 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
 def member_vector(mask: int, width: int) -> str:
     """Membership string, index 0 first: "1" where the bit is set.
 

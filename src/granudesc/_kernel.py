@@ -1,15 +1,15 @@
 """Bitset kernels.
 
 The two inner loops the package spends its time in: closure enumeration
-over a binary relation and inclusion-minimal union covers.  Masks are
-plain Python integers, so any context size works.
+and the search for minimal covers, as unions or as transversals.  Masks
+are plain Python integers, so any context size works.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from granudesc._bits import member_vector
+from granudesc._bits import bits, member_vector
 
 
 def backend_name() -> str:
@@ -62,6 +62,27 @@ def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False
         if inside == target:
             return _minimal_antichain([target | c for c in pool if c & ~target])
     return _minimal_antichain(_covering_unions(pool, target))
+
+
+def minimal_transversals(pool: Sequence[int], target: int) -> list[int]:
+    """Inclusion-minimal sets of pool indices whose members' union holds
+    target, as index masks, by size and then lexicographically; for the
+    empty target, every single index.
+
+    Each is a leaf of the cover search, as its first cover of each branch
+    object is a branch.  Every candidate carries its index bit above the
+    target, so a leaf's union names its members.  The search covers one
+    object per distinct set of covers.
+    """
+    if not target:
+        return [1 << i for i in range(len(pool))]
+    w = target.bit_length()
+    blocks = [target]
+    for c in pool:
+        blocks = [p for b in blocks for p in (b & c, b & ~c) if p]
+    tagged = [c & target | 1 << w + i for i, c in enumerate(pool)]
+    found = [u >> w for u in _covering_unions(tagged, sum(b & -b for b in blocks))]
+    return sorted(_minimal_antichain(found), key=lambda m: (m.bit_count(), tuple(bits(m))))
 
 
 def _covering_unions(pool: list[int], target: int) -> list[int]:

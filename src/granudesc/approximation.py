@@ -16,7 +16,7 @@ from enum import Enum
 from collections.abc import Iterable
 
 from granudesc import _kernel
-from granudesc._bits import bits, is_subset, mask_of, set_of
+from granudesc._bits import bits, mask_of, set_of
 from granudesc.context import (
     CompoundContext,
     FormalContext,
@@ -74,7 +74,7 @@ def enumerate_minimal_covers(
     unions = _kernel.minimal_cover_unions([m for _, m in cand], target, strict)
     results = []
     for y in unions:
-        ids = frozenset(i for i, m in cand if m and is_subset(m, y))
+        ids = frozenset(i for i, m in cand if m and m & ~y == 0)
         results.append((ids, set_of(y)))
     results.sort(key=lambda r: (len(r[1]), tuple(sorted(r[1]))))
     return results
@@ -161,7 +161,7 @@ def _lower(
     unions = _kernel.minimal_cover_unions([c for _, c in pool], target, strict=True)
     granules: list[tuple[int, Description | None]] = []
     for y in unions:
-        inside = [(j, c) for j, c in pool if is_subset(c, y)]
+        inside = [(j, c) for j, c in pool if c & ~y == 0]
         meeting = [(j, c) for j, c in inside if c & target]
         covered = 0
         for _, c in meeting:
@@ -188,7 +188,7 @@ def upper_vee(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
     rule, _, x = _enter(Mode.VEE, ctx, objects, "upper_vee")
     if not x:
         raise ValueError("upper_vee needs a non-empty granule")
-    if not is_subset(x, _possibility(ctx, ctx.full_attribute_mask)):
+    if x & ~_possibility(ctx, ctx.full_attribute_mask):
         raise Inapplicable(
             Reason.EMPTY_INTENT,
             "some object of the granule appears in no attribute extent",
@@ -197,7 +197,7 @@ def upper_vee(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
     unions = _kernel.minimal_cover_unions([c for _, c in pool], x, strict=False)
     granules: list[tuple[int, Description | None]] = []
     for y in unions:
-        d = rule.build(ctx, mask_of(j for j, c in pool if is_subset(c, y)))
+        d = rule.build(ctx, mask_of(j for j, c in pool if c & ~y == 0))
         granules.append((y, _self_check(ctx, y, d)))
     exact = x in unions
     return Approximation(Direction.UPPER, Mode.VEE, _sorted_granules(granules), exact)

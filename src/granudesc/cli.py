@@ -111,19 +111,19 @@ def _parse_granule(spec: str, objects: tuple[str, ...]) -> frozenset[int]:
     for token in (t.strip() for t in spec.split(",")):
         if not token:
             continue
+        # an index is ASCII digits: int() also reads '٣' and fails on '²'
+        as_index = int(token) - 1 if token.isascii() and token.isdigit() else -1
         if token in objects:
             idx = objects.index(token)
-            if token.isdigit():
-                as_index = int(token) - 1
-                if 0 <= as_index < len(objects) and as_index != idx:
-                    print(
-                        f"warning: {token!r} matches both an object name and a "
-                        "1-based index; using the name",
-                        file=sys.stderr,
-                    )
+            if 0 <= as_index < len(objects) and as_index != idx:
+                print(
+                    f"warning: {token!r} matches both an object name and a "
+                    "1-based index; using the name",
+                    file=sys.stderr,
+                )
             chosen.add(idx)
-        elif token.isdigit() and 1 <= int(token) <= len(objects):
-            chosen.add(int(token) - 1)
+        elif 0 <= as_index < len(objects):
+            chosen.add(as_index)
         else:
             raise _CliError(f"unknown object {token!r}")
     return frozenset(chosen)
@@ -303,18 +303,16 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     loaded = _load_any(args.input)
     if isinstance(loaded, CompoundContext):
-        cells = sum(sum(row) for row in loaded.flattened.incidence)
-        sys.stdout.write(
-            f"ok: {loaded.flavor.value} compound, {len(loaded.objects)} objects, "
-            f"{len(loaded.a_attributes)}+{len(loaded.b_attributes)} attributes, "
-            f"{cells} incidences\n"
+        table = loaded.flattened
+        shape = (
+            f"{loaded.flavor.value} compound, {len(loaded.objects)} objects, "
+            f"{len(loaded.a_attributes)}+{len(loaded.b_attributes)} attributes"
         )
     else:
-        cells = sum(sum(row) for row in loaded.incidence)
-        sys.stdout.write(
-            f"ok: {loaded.n_objects} objects, {loaded.n_attributes} attributes, "
-            f"{cells} incidences\n"
-        )
+        table = loaded
+        shape = f"{loaded.n_objects} objects, {loaded.n_attributes} attributes"
+    cells = sum(sum(row) for row in table.incidence)
+    sys.stdout.write(f"ok: {shape}, {cells} incidences\n")
     return EXIT_OK
 
 

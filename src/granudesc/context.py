@@ -229,19 +229,14 @@ def _parse_cxt(text: str) -> FormalContext:
                 f"incidence row has {len(raw)} cells, expected {n_att}",
                 line=row_base + i + 1,
             )
-        row = []
-        for col, ch in enumerate(raw):
-            if ch == "X":
-                row.append(True)
-            elif ch == ".":
-                row.append(False)
-            else:
-                raise ContextFormatError(
-                    f"illegal incidence character {ch!r}",
-                    line=row_base + i + 1,
-                    column=col + 1,
-                )
-        rows.append(tuple(row))
+        bad = next((col for col, ch in enumerate(raw) if ch not in "X."), None)
+        if bad is not None:
+            raise ContextFormatError(
+                f"illegal incidence character {raw[bad]!r}",
+                line=row_base + i + 1,
+                column=bad + 1,
+            )
+        rows.append(tuple(ch == "X" for ch in raw))
     extra = row_base + n_obj
     if extra < len(lines):
         raise ContextFormatError("unexpected trailing content", line=extra + 1)

@@ -24,12 +24,12 @@ before it leaves the package.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Callable, Iterable
 from typing import Any
 
+from granudesc import _kernel
 from granudesc._bits import bits, mask_of, set_of
 from granudesc.context import (
     CompoundContext,
@@ -110,11 +110,14 @@ class _Rule:
     needs_granule: bool = False  # the empty granule has no answer
 
     def minimal(self, t: Any, x: int) -> list[int]:
-        """Inclusion-minimal attribute masks that close to the granule,
-        smallest first, ties broken lexicographically."""
-        return _minimal_subsets(
-            list(bits(self.derive(t, x))), lambda s: self.close(t, s) == x
-        )
+        """Inclusion-minimal attribute masks that close to the granule, by
+        size, then lexicographically.  With z the closure of no attribute
+        (all objects in a conjunction, none in a disjunction), a subset of
+        ``derive(x)`` closes to x exactly when its columns XOR z cover z ^ x."""
+        base = list(bits(self.derive(t, x)))
+        z = self.close(t, 0)
+        found = _kernel.minimal_transversals([z ^ t.column_masks[j] for j in base], z ^ x)
+        return [mask_of(base[i] for i in bits(m)) for m in found]
 
 
 class _CnRule(_Rule):
@@ -122,16 +125,26 @@ class _CnRule(_Rule):
     and the b-part above them, as in a flattened compound."""
 
     def minimal(self, t: Any, x: int) -> list[int]:
+        """One transversal search of x per non-empty a-part A of the
+        granule's a-intent, 2^|a-intent| - 1 in all, over the b-columns that
+        stay inside x on A's extent; (A, B) is minimal unless some non-empty
+        A minus one attribute still admits all of B."""
         n = len(t.a_attributes)
-        low = (1 << n) - 1
-        b_attrs = range(n, n + len(t.b_attributes))
-        base = list(bits(_intent(t.a_block, x))) + list(b_attrs)
-        hits = _minimal_subsets(
-            base, lambda s: s & low and s >> n and self.close(t, s) == x
-        )
+        a_int = _intent(t.a_block, x)
+        a_cols, b_cols = t.a_block.column_masks, t.b_block.column_masks
+        outside = {0: t.a_block.full_object_mask & ~x}  # extent(A) minus x, by A
+        hits = []
+        a = 0
+        while a := (a - a_int) & a_int:  # the submasks of a_int, ascending
+            bit = a & -a
+            out = outside[a] = outside[a ^ bit] & a_cols[bit.bit_length() - 1]
+            for b in _kernel.minimal_transversals([0 if c & out else c for c in b_cols], x):
+                u = _possibility(t.b_block, b)
+                if all(u & outside[a ^ 1 << i] for i in bits(a) if a ^ 1 << i):
+                    hits.append(a | b << n)
         return sorted(
             hits,
-            key=lambda s: (s.bit_count(), tuple(bits(s & low)), tuple(bits(s >> n))),
+            key=lambda s: (s.bit_count(), tuple(bits(s & a_int)), tuple(bits(s >> n))),
         )
 
 
@@ -315,22 +328,8 @@ def union_vee_descriptions(
 
 
 # ---------------------------------------------------------------------------
-# minimal descriptions (exhaustive, optional diagnostics)
+# minimal descriptions (minimal transversals of the cover search)
 # ---------------------------------------------------------------------------
-
-
-def _minimal_subsets(base: list[int], keeps: Callable[[int], bool]) -> list[int]:
-    """Inclusion-minimal non-empty subsets of base satisfying the predicate,
-    as masks, by size and then lexicographically."""
-    hits: list[int] = []
-    for size in range(1, len(base) + 1):
-        for combo in itertools.combinations(base, size):
-            s = mask_of(combo)
-            if any(h & ~s == 0 for h in hits):
-                continue
-            if keeps(s):
-                hits.append(s)
-    return hits
 
 
 def minimal_descriptions(
@@ -338,9 +337,9 @@ def minimal_descriptions(
     objects: Iterable[int],
     mode: str,
 ) -> list[Description]:
-    """All inclusion-minimal descriptions of a definable granule.
-
-    Exhaustive search; intended for small contexts and the --minimal flag.
+    """All inclusion-minimal descriptions of a granule; none when it is
+    not definable.  The kernel's cover search lists them as minimal
+    transversals; the cn mode runs one search per a-part.
     """
     rule, t, x = _enter(Mode(mode), ctx, objects, "minimal_descriptions")
     return [_self_check(ctx, x, rule.build(ctx, s)) for s in rule.minimal(t, x)]

@@ -186,19 +186,10 @@ def _cn_b_part(cctx: CompoundContext, x: int, a_part: int) -> int:
     b_cols = cctx.b_block.column_masks
     outside = g & ~x
     pool = [c for c in b_cols if not c & outside]
-    reach = 0
-    for c in pool:
-        reach |= c
-    if x & ~reach:
-        pool = b_cols
+    unions = _kernel.minimal_cover_unions(pool, x) or _kernel.minimal_cover_unions(b_cols, x)
     n = cctx.n_objects
     best = min(
-        _kernel.minimal_cover_unions(pool, x),
-        key=lambda y: (
-            (g & y).bit_count(),
-            y.bit_count(),
-            member_vector(y, n),
-        ),
+        unions, key=lambda y: ((g & y).bit_count(), y.bit_count(), member_vector(y, n))
     )
     # every b-attribute whose non-empty extent lies inside the union
     return _necessity(cctx.b_block, best) & ~_necessity(cctx.b_block, 0)

@@ -10,7 +10,10 @@ library replaced, kept as references for their replacements:
 ``strict_covers_per_object`` (one plain cover search per object outside
 the target), ``cn_b_part_full_pool`` (the canonical cn b-part searched
 over every b-extent), ``vee_verdict_via_complement`` (disjunctive
-definability decided on the complemented table), ``FRESH_BUILDERS``
+definability decided on the complemented table),
+``minimal_subsets_scan`` and ``cn_minimal_scan`` (minimal descriptions
+found by trying every subset of the search base; ``minimal_descriptions_scan``
+builds their descriptions), ``FRESH_BUILDERS``
 (the description builders making new atoms on every call and passing
 them through the validating constructors) and
 ``parse_description_scanner`` (the token scanner the one-pass
@@ -21,7 +24,7 @@ nothing here is meant to be fast.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from itertools import combinations
 
 from granudesc import (
@@ -38,10 +41,13 @@ from granudesc import (
     Reason,
     Status,
     Verdict,
+    conj_disj,
+    conj_of,
     disj_of,
     evaluate,
+    three_way_conj,
 )
-from granudesc._bits import bits, member_vector
+from granudesc._bits import bits, mask_of, member_vector
 
 
 def column_extents(
@@ -348,6 +354,84 @@ def cn_b_part_full_pool(cctx: CompoundContext, x: int, a_part: int) -> int:
         key=lambda y: ((g & y).bit_count(), y.bit_count(), member_vector(y, n)),
     )
     return sum(1 << j for j, c in enumerate(b_cols) if c and c & ~best == 0)
+
+
+def minimal_subsets_scan(base: list[int], keeps: Callable[[int], bool]) -> list[int]:
+    """Inclusion-minimal non-empty subsets of base satisfying the predicate,
+    as masks, by size and then lexicographically.
+
+    The scan the minimal-transversal search replaced in
+    ``minimal_descriptions``: it tests up to 2^|base| subsets.
+    """
+    hits: list[int] = []
+    for size in range(1, len(base) + 1):
+        for combo in combinations(base, size):
+            s = mask_of(combo)
+            if any(h & ~s == 0 for h in hits):
+                continue
+            if keeps(s):
+                hits.append(s)
+    return hits
+
+
+def _meet(cols: Sequence[int], full: int, s: int) -> int:
+    for j in bits(s):
+        full &= cols[j]
+    return full
+
+
+def _join(cols: Sequence[int], s: int) -> int:
+    u = 0
+    for j in bits(s):
+        u |= cols[j]
+    return u
+
+
+def cn_minimal_scan(cctx: CompoundContext, x: int) -> list[int]:
+    """Minimal two-part descriptions as flattened masks (a-part in the low
+    bits), by size, then a-part, then b-part: the scan over the a-intent
+    joined with the whole b-block that the per-a-part search replaced."""
+    n = len(cctx.a_attributes)
+    low = (1 << n) - 1
+    a_cols, b_cols = cctx.a_block.column_masks, cctx.b_block.column_masks
+    full = (1 << cctx.n_objects) - 1
+    b_attrs = range(n, n + len(cctx.b_attributes))
+    a_intent = [j for j, c in enumerate(a_cols) if x & ~c == 0]
+    base = a_intent + list(b_attrs)
+    hits = minimal_subsets_scan(
+        base,
+        lambda s: s & low
+        and s >> n
+        and _meet(a_cols, full, s & low) & _join(b_cols, s >> n) == x,
+    )
+    return sorted(
+        hits,
+        key=lambda s: (s.bit_count(), tuple(bits(s & low)), tuple(bits(s >> n))),
+    )
+
+
+def minimal_descriptions_scan(
+    ctx: FormalContext | CompoundContext, x: int, mode: str
+) -> list[Description]:
+    """What ``minimal_descriptions`` returned when it scanned subsets."""
+    if mode == "cn":
+        n = len(ctx.a_attributes)
+        return [
+            conj_disj(ctx, bits(s & ((1 << n) - 1)), bits(s >> n))
+            for s in cn_minimal_scan(ctx, x)
+        ]
+    t = ctx.flattened if mode == "three_way" else ctx
+    cols = t.column_masks
+    full = (1 << t.n_objects) - 1
+    if mode == "vee":
+        base = [j for j, c in enumerate(cols) if c & ~x == 0]
+        keeps = lambda s: _join(cols, s) == x
+        build = disj_of
+    else:
+        base = [j for j, c in enumerate(cols) if x & ~c == 0]
+        keeps = lambda s: _meet(cols, full, s) == x
+        build = three_way_conj if mode == "three_way" else conj_of
+    return [build(ctx, bits(s)) for s in minimal_subsets_scan(base, keeps)]
 
 
 def vee_verdict_via_complement(ctx: FormalContext, x: frozenset[int]) -> Verdict:

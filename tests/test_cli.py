@@ -550,3 +550,23 @@ def test_granule_tolerates_blank_tokens(capsys) -> None:
         ["define", TABLE1, "--granule", "2,,7,", "--mode", "wedge", "--format", "text"],
     )
     assert code == 0 and out == "definable: a1 ∧ a2\n"
+
+
+@pytest.mark.parametrize("token", ["²", "٣", "3²"])
+def test_granule_index_is_ascii_digits_only(capsys, token) -> None:
+    # Python's int() reads '٣' as 3 and fails on '²'; neither is an index
+    code, out, err = run(
+        capsys,
+        ["define", TABLE1, "--granule", token, "--mode", "wedge", "--format", "text"],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown object {token!r}\n"
+
+
+def test_granule_reads_non_ascii_digit_names(capsys, tmp_path) -> None:
+    named = FormalContext(("²", "٣", "x"), ("a1", "a2"), ((1, 0), (0, 1), (0, 0)))
+    path = tmp_path / "named.cxt"
+    path.write_text(serialize_context(named), encoding="utf-8")
+    argv = ["define", str(path), "--mode", "wedge", "--format", "text", "--granule"]
+    assert run(capsys, argv + ["²"]) == (0, "definable: a1\n", "")
+    assert run(capsys, argv + ["٣"]) == (0, "definable: a2\n", "")

@@ -15,7 +15,9 @@ from granudesc import (
     Inapplicable,
     Reason,
     Status,
+    appose_negation,
     cn_intent,
+    compound_extent,
     evaluate,
     find_covering_elements,
     intersect_descriptions,
@@ -23,6 +25,7 @@ from granudesc import (
     is_three_way_definable,
     is_vee_definable,
     is_wedge_definable,
+    make_cn_context,
     minimal_descriptions,
     render,
     union_vee_descriptions,
@@ -269,8 +272,6 @@ def test_plain_verdicts_match_formula_families(
     threes = oracles.conj_family(
         oracles.doubled_columns(ctx.incidence), n_obj
     )
-    from granudesc import appose_negation
-
     cctx = appose_negation(ctx)
     x = _subset(rng, n_obj)
     assert (is_wedge_definable(ctx, x).status is Status.DEFINABLE) == (x in conjs)
@@ -436,6 +437,109 @@ def test_minimal_descriptions_evaluate_back(table1, table3, table5) -> None:
     for ctx, x, mode in cases:
         for d in minimal_descriptions(ctx, x, mode):
             assert evaluate(ctx, d) == x
+
+
+def _pin_context() -> FormalContext:
+    # a1 and a2 hold everywhere, a4 nowhere
+    rows = ((1, 1, 1, 0), (1, 1, 0, 0), (1, 1, 1, 0))
+    return FormalContext(("o1", "o2", "o3"), ("a1", "a2", "a3", "a4"), rows)
+
+
+def _minimal_texts(ctx, x, mode: str) -> list[str]:
+    return [render(d) for d in minimal_descriptions(ctx, x, mode)]
+
+
+def test_minimal_descriptions_of_the_full_granule() -> None:
+    ctx = _pin_context()
+    every = range(3)
+    # every attribute holding everywhere describes the full granule alone
+    assert _minimal_texts(ctx, every, "wedge") == ["a1", "a2"]
+    assert _minimal_texts(appose_negation(ctx), every, "three_way") == ["a1", "a2", "¬a4"]
+
+
+def test_minimal_descriptions_of_the_empty_granule() -> None:
+    ctx = _pin_context()
+    assert _minimal_texts(ctx, [], "vee") == ["a4"]
+    ctx = FormalContext(("o1", "o2"), ("a1", "a2"), ((1, 0), (0, 1)))
+    assert _minimal_texts(ctx, [], "vee") == []
+
+
+def test_minimal_descriptions_of_indefinable_granules(table1, table3) -> None:
+    assert is_wedge_definable(table1, objs(table1, "1", "2")).status is Status.INDEFINABLE
+    assert _minimal_texts(table1, objs(table1, "1", "2"), "wedge") == []
+    assert is_three_way_definable(table3, objs(table3, "1", "2")).status is Status.INDEFINABLE
+    assert _minimal_texts(table3, objs(table3, "1", "2"), "three_way") == []
+    x = objs(table1, "1", "4", "5", "6")  # a5 fits inside, but 1 stays out
+    assert is_vee_definable(table1, x).status is Status.INDEFINABLE
+    assert _minimal_texts(table1, x, "vee") == []
+
+
+def test_minimal_cn_descriptions_without_premise(table5) -> None:
+    # no a-attribute is shared by all seven objects
+    assert is_cn_definable(table5, range(7)).reason is Reason.EMPTY_A_PART
+    assert _minimal_texts(table5, range(7), "cn") == []
+    # o2 carries no b-attribute, so no b-disjunct covers the granule
+    a = FormalContext(("o1", "o2"), ("a1",), ((1,), (1,)))
+    b = FormalContext(("o1", "o2"), ("b1",), ((1,), (0,)))
+    cctx = make_cn_context(a, b)
+    assert is_cn_definable(cctx, [0, 1]).reason is Reason.NO_B_COVER
+    assert _minimal_texts(cctx, [0, 1], "cn") == []
+
+
+def test_minimal_three_way_descriptions_over_a_wide_base() -> None:
+    # a one-object granule shares all 18 flattened columns it touches; a
+    # scan of every subset would try 2^18 of them
+    m = 18
+    cctx = appose_negation(random_context(random.Random(18), 40, m, 0.4))
+    x = frozenset({0})
+    found = minimal_descriptions(cctx, x, "three_way")
+    assert found
+    for d in found:
+        assert evaluate(cctx, d) == x
+        flat = {a.index + m * a.negated for a in d.atoms}
+        for j in flat:
+            assert compound_extent(cctx, flat - {j}) != x
+
+
+def _granule_for(rng: random.Random, cols: list[int], n: int, kind: str) -> int:
+    """A random subset, an intersection or a union of random columns."""
+    if kind == "random":
+        return rng.getrandbits(n) if n else 0
+    x = 0 if kind == "union" else (1 << n) - 1
+    for c in cols:
+        if rng.random() < 0.4:
+            x = x | c if kind == "union" else x & c
+    return x
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obj=st.integers(1, 7),
+    n_att=st.integers(1, 6),
+    density=st.sampled_from([0.2, 0.5, 0.8]),
+    kind=st.sampled_from(["random", "meet", "union"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_minimal_descriptions_match_subset_scan(
+    seed: int, n_obj: int, n_att: int, density: float, kind: str
+) -> None:
+    """The transversal search gives the old scan's lists, order included,
+    on definable granules and on others."""
+    rng = random.Random(seed)
+    ctx = random_context(rng, n_obj, n_att, density)
+    x = _granule_for(rng, list(ctx.column_masks), n_obj, kind)
+    xs = [i for i in range(n_obj) if x >> i & 1]
+    for mode, c in (("wedge", ctx), ("vee", ctx), ("three_way", appose_negation(ctx))):
+        assert minimal_descriptions(c, xs, mode) == oracles.minimal_descriptions_scan(c, x, mode)
+    cctx = random_cn_context(rng, n_obj, rng.randint(1, 4), rng.randint(1, 4), density)
+    if kind != "random":
+        # an a-extent cut down to a union of b-extents is cn-definable
+        a = _granule_for(rng, list(cctx.a_block.column_masks), n_obj, "meet")
+        x = a & _granule_for(rng, list(cctx.b_block.column_masks), n_obj, "union")
+        xs = [i for i in range(n_obj) if x >> i & 1]
+    if x:
+        want = oracles.minimal_descriptions_scan(cctx, x, "cn")
+        assert minimal_descriptions(cctx, xs, "cn") == want
 
 
 def test_minimal_descriptions_unknown_mode(table1) -> None:

@@ -60,7 +60,7 @@ def test_concepts_match_next_closure_and_brute_force(
 
 
 # ---------------------------------------------------------------------------
-# minimal covers
+# minimal covers and minimal transversals
 # ---------------------------------------------------------------------------
 
 
@@ -125,6 +125,52 @@ def test_cover_search_matches_list_search_at_bounds_scale(seed: int, union_targe
     assert _kernel.minimal_cover_unions(cands, target) == plain
     strict = oracles.strict_covers_per_object(cands, target)
     assert _kernel.minimal_cover_unions(cands, target, True) == strict
+
+
+def _transversals_brute_force(pool: list[int], target: int) -> list[int]:
+    """Inclusion-minimal index masks whose members' union holds target,
+    found by trying every subset of indices; by size, then index tuple."""
+    hits = []
+    for s in range(1 << len(pool)):
+        union = 0
+        for i in range(len(pool)):
+            if s >> i & 1:
+                union |= pool[i]
+        if target & ~union == 0:
+            hits.append(s)
+    minimal = [s for s in hits if not any(h != s and h & ~s == 0 for h in hits)]
+    return sorted(minimal, key=lambda s: (s.bit_count(), [i for i in range(len(pool)) if s >> i & 1]))
+
+
+def test_transversal_edge_shapes() -> None:
+    # the empty target: every single index, empty and duplicate candidates too
+    assert _kernel.minimal_transversals([0b01, 0, 0b01], 0) == [0b001, 0b010, 0b100]
+    assert _kernel.minimal_transversals([], 0) == []
+    # an uncoverable target
+    assert _kernel.minimal_transversals([], 0b1) == []
+    assert _kernel.minimal_transversals([0b001, 0b010, 0], 0b111) == []
+    # equal candidates are different transversals; bits outside target are ignored
+    assert _kernel.minimal_transversals([0b11, 0b111, 0b01], 0b11) == [0b001, 0b010]
+    assert _kernel.minimal_transversals([0b01, 0b10, 0b11], 0b11) == [0b100, 0b011]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obj=st.integers(0, 10),
+    n_cand=st.integers(0, 8),
+    density=st.sampled_from([0.2, 0.5, 0.8]),
+    union_target=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_transversals_match_brute_force(
+    seed: int, n_obj: int, n_cand: int, density: float, union_target: bool
+) -> None:
+    cands, target = _cover_problem(random.Random(seed), n_obj, n_cand, density, union_target)
+    got = _kernel.minimal_transversals(cands, target)
+    if target:
+        assert got == _transversals_brute_force(cands, target)
+    else:
+        assert got == [1 << i for i in range(n_cand)]
 
 
 def _garbage_after(call) -> int:
