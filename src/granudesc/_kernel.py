@@ -43,25 +43,35 @@ def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False
     contain it properly.  Result is duplicate-free, sorted by (popcount,
     mask value).  Empty candidates never change a union and are ignored.
 
-    With ``strict``, the candidates inside ``target`` are ORed first.
-    When they make up ``target``, it is itself a union, and every union
-    properly above it holds some candidate ``c`` reaching outside it and
-    so contains the union ``target | c``: the one-step unions are the only
-    ones the antichain has to compare, and no search runs.  Otherwise no
-    union equals ``target``, so the minimal covers of the plain search
-    already contain it properly.  Candidates disjoint from ``target``
-    never join a minimal cover, but they stay in the pool: a step by one
-    of them can be a minimal strict union.
+    The candidates inside ``target`` are ORed first into ``free``.  Each
+    lies inside every union that holds the target, so every minimal union
+    is ``target | u`` for a minimal union ``u`` of the candidates meeting
+    ``rest = target & ~free`` that covers ``rest``: only those candidates
+    enter the search, and a target they leave nothing of is its own cover.
+
+    With ``strict``, when ``free`` is ``target``, the target is itself a
+    union, and every union properly above it holds some candidate ``c``
+    reaching outside it and so contains the union ``target | c``: the
+    one-step unions are the only ones the antichain has to compare, and
+    no search runs.  Otherwise no union equals ``target``, so the minimal
+    covers of the plain search already contain it properly.  Candidates
+    disjoint from ``target`` never join a minimal cover, but they stay in
+    the strict step: a step by one of them can be a minimal strict union.
     """
     pool = [c for c in cands if c]
-    if strict:
-        inside = 0
-        for c in pool:
-            if c & ~target == 0:
-                inside |= c
-        if inside == target:
-            return _minimal_antichain([target | c for c in pool if c & ~target])
-    return _minimal_antichain(_covering_unions(pool, target))
+    free = 0
+    for c in pool:
+        if c & ~target == 0:
+            free |= c
+    if strict and free == target:
+        return _minimal_antichain([target | c for c in pool if c & ~target])
+    if not free:
+        return _minimal_antichain(_covering_unions(pool, target))
+    rest = target & ~free
+    if not rest:
+        return [target]
+    leaves = set(_covering_unions([c for c in pool if c & rest], rest))
+    return _minimal_antichain([u | target for u in leaves])
 
 
 def minimal_transversals(pool: Sequence[int], target: int) -> list[int]:
@@ -135,8 +145,11 @@ def _covering_unions(pool: list[int], target: int) -> list[int]:
 
 
 def _minimal_antichain(masks: list[int]) -> list[int]:
+    """Inclusion-minimal masks, duplicate-free, by (popcount, mask value)."""
+    order = sorted(set(masks))
+    order.sort(key=int.bit_count)  # stable: equal popcounts stay by value
     kept: list[int] = []
-    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+    for m in order:
         for k in kept:
             if k & ~m == 0:
                 break

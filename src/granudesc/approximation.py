@@ -83,8 +83,10 @@ def enumerate_minimal_covers(
 def _sorted_granules(
     items: list[tuple[int, Description | None]]
 ) -> tuple[tuple[ObjectSet, Description | None], ...]:
-    items.sort(key=lambda g: (g[0].bit_count(), tuple(bits(g[0]))))
-    return tuple((set_of(g), d) for g, d in items)
+    """By size, then index tuple: one read of a granule's bits gives both key and set."""
+    keyed = [(tuple(bits(g)), d) for g, d in items]
+    keyed.sort(key=lambda k: (len(k[0]), k[0]))
+    return tuple((frozenset(t), d) for t, d in keyed)
 
 
 # ---------------------------------------------------------------------------

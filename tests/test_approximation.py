@@ -428,6 +428,29 @@ def test_upper_cn_is_least_superset(
 # ---------------------------------------------------------------------------
 
 
+@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.2, 0.3, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_cover_bounds_come_in_strictly_increasing_order(seed: int, density: float) -> None:
+    rng = random.Random(seed)
+    ctx = random_context(rng, 16, 12, density)
+    x = _subset(rng, 16)
+    cols = oracles.column_extents(ctx.incidence)
+    runs = [
+        lambda: lower_wedge(ctx, x).granules,
+        lambda: lower_three_way(appose_negation(ctx), x).granules,
+        lambda: upper_vee(ctx, x).granules,
+        lambda: [(u, ids) for ids, u in enumerate_minimal_covers(
+            CoverProblem(tuple(enumerate(cols)), x))],
+    ]
+    for run in runs:
+        try:
+            granules = run()
+        except (Inapplicable, ValueError):
+            continue
+        keys = [(len(g), tuple(sorted(g))) for g, _ in granules]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_results_self_validate_and_stay_sorted(table1, table3, table5) -> None:
     cases = [
         (table1, objs(table1, "1", "2"), upper_wedge(table1, objs(table1, "1", "2"))),

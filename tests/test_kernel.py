@@ -127,6 +127,56 @@ def test_cover_search_matches_list_search_at_bounds_scale(seed: int, union_targe
     assert _kernel.minimal_cover_unions(cands, target, True) == strict
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_inside=st.integers(0, 4),
+    duplicate=st.booleans(),
+    whole_target=st.booleans(),
+    union_target=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_cover_search_with_candidates_inside_the_target(
+    seed: int, n_inside: int, duplicate: bool, whole_target: bool, union_target: bool
+) -> None:
+    # candidates inside the target are folded out of the search; plant some,
+    # with repeats and the target itself, among bounds-scale problems
+    rng = random.Random(seed)
+    n_obj, n_cand, density = rng.randint(16, 32), rng.randint(8, 16), rng.uniform(0.2, 0.5)
+    cands, target = _cover_problem(rng, n_obj, n_cand, density, union_target)
+    for _ in range(n_inside):
+        cands.append(target & mask_of(i for i in range(n_obj) if rng.random() < 0.5))
+    if duplicate:
+        cands += rng.sample(cands, 2)
+    if whole_target:
+        cands.append(target)
+    rng.shuffle(cands)
+    pool = [c for c in cands if c]
+    plain = oracles.minimal_masks(oracles.covering_unions_lists(pool, target))
+    assert _kernel.minimal_cover_unions(cands, target) == plain
+    strict = oracles.strict_covers_per_object(cands, target)
+    assert _kernel.minimal_cover_unions(cands, target, True) == strict
+
+
+def test_cover_edge_shapes_with_candidates_inside_the_target() -> None:
+    # 0b0011 and 0b0100 make up the target 0b0111: it is its own cover,
+    # and the strict covers are its one-step unions
+    cands = [0b1100, 0b0011, 0b10000, 0b0100]
+    assert _kernel.minimal_cover_unions(cands, 0b0111) == [0b0111]
+    assert _kernel.minimal_cover_unions(cands, 0b0111, True) == [0b01111, 0b10111]
+    # 0b0011 covers part of the target; object 2 needs one outside candidate
+    cands = [0b0011, 0b1100, 0b10100, 0b0001]
+    for strict in (False, True):
+        assert _kernel.minimal_cover_unions(cands, 0b0111, strict) == [0b01111, 0b10111]
+    # the empty target is covered by the empty union, whatever the pool
+    assert _kernel.minimal_cover_unions([0b01, 0b10], 0) == [0]
+
+
+@given(masks=st.lists(st.integers(0, 63), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_minimal_antichain_matches_oracle_order(masks: list[int]) -> None:
+    assert _kernel._minimal_antichain(masks) == oracles.minimal_masks(masks)
+
+
 def _transversals_brute_force(pool: list[int], target: int) -> list[int]:
     """Inclusion-minimal index masks whose members' union holds target,
     found by trying every subset of indices; by size, then index tuple."""
