@@ -47,7 +47,8 @@ def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False
     lies inside every union that holds the target, so every minimal union
     is ``target | u`` for a minimal union ``u`` of the candidates meeting
     ``rest = target & ~free`` that covers ``rest``: only those candidates
-    enter the search, and a target they leave nothing of is its own cover.
+    enter the search, and a target they leave nothing of is its own cover
+    (the search over an empty ``rest`` has the one leaf 0).
 
     With ``strict``, when ``free`` is ``target``, the target is itself a
     union, and every union properly above it holds some candidate ``c``
@@ -65,12 +66,8 @@ def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False
             free |= c
     if strict and free == target:
         return _minimal_antichain([target | c for c in pool if c & ~target])
-    if not free:
-        return _minimal_antichain(_covering_unions(pool, target))
     rest = target & ~free
-    if not rest:
-        return [target]
-    leaves = set(_covering_unions([c for c in pool if c & rest], rest))
+    leaves = _covering_unions([c for c in pool if c & rest], rest)
     return _minimal_antichain([u | target for u in leaves])
 
 

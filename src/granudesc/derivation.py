@@ -192,11 +192,7 @@ def _cn_b_part(cctx: CompoundContext, x: int, a_part: int) -> int:
         unions, key=lambda y: ((g & y).bit_count(), y.bit_count(), member_vector(y, n))
     )
     # every b-attribute whose non-empty extent lies inside the union
-    b_part = 0
-    for j, c in enumerate(b_cols):
-        if c and c & ~best == 0:
-            b_part |= 1 << j
-    return b_part
+    return _necessity(cctx.b_block, best) & ~_necessity(cctx.b_block, 0)
 
 
 def cn_intent(cctx: CompoundContext, objects: Iterable[int]) -> CnIntent:
