@@ -1,11 +1,12 @@
 """Tightest definable bounds for granules that are not definable.
 
-Upper bounds are closures: the least definable superset in the chosen
-mode.  Lower bounds are strict: the maximal definable proper subsets,
-found by covering the granule's complement with unions of (complemented)
-attribute extents and keeping the inclusion-minimal achievable unions.
-Each returned granule comes with a description that evaluates back to it.
-The modes, their tables and closures come from the table of modes in
+The closure modes' upper bounds and the disjunctive lower bound are
+closures of the granule.  The conjunctive lower bounds (the maximal
+definable proper subsets) and the disjunctive upper bounds (the minimal
+unions of extents holding the granule) come from one cover search over
+the columns XOR z, z being the closure of no attribute.  Each returned
+granule comes with a description that evaluates back to it.  The modes,
+their tables and closures come from the table of modes in
 ``definability``.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Iterable
+from typing import TypeVar
 
 from granudesc import _kernel
 from granudesc._bits import bits, mask_of, set_of
@@ -22,7 +24,6 @@ from granudesc.context import (
     FormalContext,
     ObjectSet,
 )
-from granudesc.derivation import _possibility
 from granudesc.definability import (
     Mode,
     Reason,
@@ -58,6 +59,11 @@ class CoverProblem:
         ids = [i for i, _ in self.candidates]
         if len(ids) != len(set(ids)):
             raise ValueError("candidate attribute ids must be unique")
+        for i, ext in self.candidates:
+            if (low := min(ext, default=0)) < 0:
+                raise ValueError(f"candidate {i} holds negative object index {low}")
+        if (low := min(self.target, default=0)) < 0:
+            raise ValueError(f"the target holds negative object index {low}")
 
 
 def enumerate_minimal_covers(
@@ -70,19 +76,15 @@ def enumerate_minimal_covers(
     union.  The empty target is covered by the empty union.
     """
     cand = [(i, mask_of(ext)) for i, ext in problem.candidates]
-    target = mask_of(problem.target)
-    unions = _kernel.minimal_cover_unions([m for _, m in cand], target, strict)
-    results = []
-    for y in unions:
-        ids = frozenset(i for i, m in cand if m and m & ~y == 0)
-        results.append((ids, set_of(y)))
-    results.sort(key=lambda r: (len(r[1]), tuple(sorted(r[1]))))
-    return results
+    unions = _kernel.minimal_cover_unions([m for _, m in cand], mask_of(problem.target), strict)
+    found = [(y, frozenset(i for i, m in cand if m and m & ~y == 0)) for y in unions]
+    return [(ids, y) for y, ids in _sorted_granules(found)]
 
 
-def _sorted_granules(
-    items: list[tuple[int, Description | None]]
-) -> tuple[tuple[ObjectSet, Description | None], ...]:
+_P = TypeVar("_P")
+
+
+def _sorted_granules(items: list[tuple[int, _P]]) -> tuple[tuple[ObjectSet, _P], ...]:
     """By size, then index tuple: one read of a granule's bits gives both key and set."""
     keyed = [(tuple(bits(g)), d) for g, d in items]
     keyed.sort(key=lambda k: (len(k[0]), k[0]))
@@ -134,72 +136,65 @@ def lower_vee(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
 # ---------------------------------------------------------------------------
 
 
-def _lower(
+def _cover_bounds(
     mode: Mode, ctx: FormalContext | CompoundContext, objects: Iterable[int], op: str
 ) -> Approximation:
-    """Maximal definable proper subsets in a conjunctive mode.
+    """Bounds read off one cover search, with z the closure of no
+    attribute: all objects in a conjunctive mode, none in the disjunctive.
 
-    The complement of each such subset is a minimal union of complement
-    extents that properly contains the complement of the granule.  When
-    the granule is not definable, the kernel's minimal covers of that
-    complement are these unions.  When it is definable, its complement is
-    itself a union, and each maximal proper subset is the granule minus
-    one complement extent that meets it: the kernel compares these
-    one-step unions only.  Complement extents inside the granule (disjoint
-    from the search target) therefore stay in the pool; they never join a
-    minimal cover, but removing one of them from a definable granule can
-    be the largest step down.  The reported attribute set sticks to the
-    meeting candidates whenever they generate the union.
+    A granule g is definable exactly when z ^ g is a union of columns XOR
+    z (the complement of an intersection of extents is the union of their
+    complements), so the bounds are z ^ y for the minimal unions y of
+    those columns holding z ^ x: properly for a conjunction, whose bounds
+    lie below x.  When z ^ x is itself a union (x definable), the strict
+    search compares only the one-step unions, so columns XOR z inside x
+    (disjoint from the target) stay in the pool: they never join a minimal
+    cover, but removing one from a definable granule can be the largest
+    step down.  A bound's attributes are the candidates meeting the target
+    when they generate its union, as a plain search's minimal unions
+    always are, else every candidate inside it.
     """
     rule, t, x = _enter(mode, ctx, objects, op)
-    full = t.full_object_mask
-    if x == full:
-        raise ValueError(f"{op} needs a proper subset of the objects")
-    attrs = rule.derive(t, x)
-    exact = bool(attrs) and rule.close(t, attrs) == x
-    target = full & ~x
-    comp = [(j, full & ~col) for j, col in enumerate(t.column_masks)]
-    pool = [(j, c) for j, c in comp if c]
-    unions = _kernel.minimal_cover_unions([c for _, c in pool], target, strict=True)
-    granules: list[tuple[int, Description | None]] = []
-    for y in unions:
-        inside = [(j, c) for j, c in pool if c & ~y == 0]
-        meeting = [(j, c) for j, c in inside if c & target]
-        covered = 0
-        for _, c in meeting:
-            covered |= c
-        chosen = meeting if covered == y else inside
-        granule = full & ~y
-        d = rule.build(ctx, mask_of(j for j, _ in chosen))
-        granules.append((granule, _self_check(ctx, granule, d)))
-    return Approximation(Direction.LOWER, mode, _sorted_granules(granules), exact)
-
-
-def lower_wedge(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
-    """Maximal conjunctively definable proper subsets of the granule."""
-    return _lower(Mode.WEDGE, ctx, objects, "lower_wedge")
-
-
-def lower_three_way(cctx: CompoundContext, objects: Iterable[int]) -> Approximation:
-    """Maximal three-way definable proper subsets of the granule."""
-    return _lower(Mode.THREE_WAY, cctx, objects, "lower_three_way")
-
-
-def upper_vee(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
-    """Minimal unions of attribute extents containing the granule."""
-    rule, _, x = _enter(Mode.VEE, ctx, objects, "upper_vee")
-    if not x:
-        raise ValueError("upper_vee needs a non-empty granule")
-    if x & ~_possibility(ctx, ctx.full_attribute_mask):
+    z = rule.close(t, 0)
+    target = z ^ x
+    if not target:
+        raise ValueError(
+            f"{op} needs a proper subset of the objects" if z else f"{op} needs a non-empty granule"
+        )
+    cols = [z ^ col for col in t.column_masks]
+    unions = _kernel.minimal_cover_unions(cols, target, strict=bool(z))
+    if not (unions or z):
         raise Inapplicable(
             Reason.EMPTY_INTENT,
             "some object of the granule appears in no attribute extent",
         )
-    pool = [(j, col) for j, col in enumerate(ctx.column_masks) if col & x]
-    unions = _kernel.minimal_cover_unions([c for _, c in pool], x, strict=False)
+    meeting = [(1 << j, c) for j, c in enumerate(cols) if c & target]
     granules: list[tuple[int, Description | None]] = []
     for y in unions:
-        d = rule.build(ctx, mask_of(j for j, c in pool if c & ~y == 0))
-        granules.append((y, _self_check(ctx, y, d)))
-    exact = x in unions
-    return Approximation(Direction.UPPER, Mode.VEE, _sorted_granules(granules), exact)
+        ids = covered = 0
+        for b, c in meeting:
+            if c & ~y == 0:
+                ids |= b
+                covered |= c
+        if covered != y:
+            ids = mask_of(j for j, c in enumerate(cols) if c and c & ~y == 0)
+        granule = z ^ y
+        granules.append((granule, _self_check(ctx, granule, rule.build(ctx, ids))))
+    exact = rule.close(t, rule.derive(t, x)) == x
+    direction = Direction.LOWER if z else Direction.UPPER
+    return Approximation(direction, mode, _sorted_granules(granules), exact)
+
+
+def lower_wedge(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
+    """Maximal conjunctively definable proper subsets of the granule."""
+    return _cover_bounds(Mode.WEDGE, ctx, objects, "lower_wedge")
+
+
+def lower_three_way(cctx: CompoundContext, objects: Iterable[int]) -> Approximation:
+    """Maximal three-way definable proper subsets of the granule."""
+    return _cover_bounds(Mode.THREE_WAY, cctx, objects, "lower_three_way")
+
+
+def upper_vee(ctx: FormalContext, objects: Iterable[int]) -> Approximation:
+    """Minimal unions of attribute extents containing the granule."""
+    return _cover_bounds(Mode.VEE, ctx, objects, "upper_vee")

@@ -8,8 +8,11 @@ library replaced, kept as references for their replacements:
 ``formal_concepts_next_closure`` (lectic-successor closure enumeration),
 ``covering_unions_lists`` (the cover search on candidate lists),
 ``strict_covers_per_object`` (one plain cover search per object outside
-the target), ``cn_b_part_full_pool`` (the canonical cn b-part searched
-over every b-extent), ``vee_verdict_via_complement`` (disjunctive
+the target), ``lower_by_complement_cover`` and ``upper_vee_by_cover``
+(the conjunctive lower bounds and the disjunctive upper bounds, each in
+its own routine, as they were before one routine served both),
+``cn_b_part_full_pool`` (the canonical cn b-part searched over every
+b-extent), ``vee_verdict_via_complement`` (disjunctive
 definability decided on the complemented table),
 ``minimal_subsets_scan`` and ``cn_minimal_scan`` (minimal descriptions
 found by trying every subset of the search base; ``minimal_descriptions_scan``
@@ -28,16 +31,20 @@ from collections.abc import Callable, Sequence
 from itertools import combinations
 
 from granudesc import (
+    Approximation,
     Atom,
     Block,
     CompoundContext,
     Conj,
     ConjDisj,
     Description,
+    Direction,
     Disj,
     Flavor,
     FormalContext,
     GranuleDescError,
+    Inapplicable,
+    Mode,
     Reason,
     Status,
     Verdict,
@@ -333,6 +340,72 @@ def strict_covers_per_object(cands: list[int], target: int) -> list[int]:
         found.extend(covering_unions_lists(pool, target | low))
         extra ^= low
     return minimal_masks(found)
+
+
+def _checked_bounds(
+    ctx: FormalContext | CompoundContext, found: list[tuple[int, Description]]
+) -> tuple[tuple[frozenset[int], Description], ...]:
+    """Bound granules as sets, each description evaluated back, by size and
+    then index tuple."""
+    out = []
+    for g, d in found:
+        if evaluate(ctx, d) != frozenset(bits(g)):
+            raise AssertionError(f"{d!r} does not describe {sorted(bits(g))}")
+        out.append((tuple(bits(g)), d))
+    out.sort(key=lambda k: (len(k[0]), k[0]))
+    return tuple((frozenset(t), d) for t, d in out)
+
+
+def lower_by_complement_cover(
+    ctx: FormalContext | CompoundContext, objects, mode: Mode
+) -> Approximation:
+    """``lower_wedge`` (``lower_three_way`` for the three-way mode) as its
+    own routine: the complements of the minimal unions of complement
+    extents properly containing the granule's complement.  Each bound names
+    the complement extents meeting that complement when they generate the
+    union, else every one inside it."""
+    three_way = mode is Mode.THREE_WAY
+    op = "lower_three_way" if three_way else "lower_wedge"
+    t = ctx.flattened if three_way else ctx
+    build = three_way_conj if three_way else conj_of
+    x = mask_of(objects)
+    full = t.full_object_mask
+    if x == full:
+        raise ValueError(f"{op} needs a proper subset of the objects")
+    cols = t.column_masks
+    attrs = mask_of(j for j, c in enumerate(cols) if x & ~c == 0)
+    exact = bool(attrs) and _meet(cols, full, attrs) == x
+    target = full & ~x
+    pool = [(j, full & ~c) for j, c in enumerate(cols) if full & ~c]
+    found = []
+    for y in strict_covers_per_object([c for _, c in pool], target):
+        inside = [(j, c) for j, c in pool if c & ~y == 0]
+        meeting = [(j, c) for j, c in inside if c & target]
+        covered = 0
+        for _, c in meeting:
+            covered |= c
+        chosen = meeting if covered == y else inside
+        found.append((full & ~y, build(ctx, [j for j, _ in chosen])))
+    return Approximation(Direction.LOWER, mode, _checked_bounds(ctx, found), exact)
+
+
+def upper_vee_by_cover(ctx: FormalContext, objects) -> Approximation:
+    """``upper_vee`` as its own routine: the minimal unions of the extents
+    meeting the granule that contain it, each named by the extents inside
+    it; exact when the granule is one of them."""
+    x = mask_of(objects)
+    if not x:
+        raise ValueError("upper_vee needs a non-empty granule")
+    cols = ctx.column_masks
+    if x & ~_join(cols, (1 << len(cols)) - 1):
+        raise Inapplicable(
+            Reason.EMPTY_INTENT,
+            "some object of the granule appears in no attribute extent",
+        )
+    pool = [(j, c) for j, c in enumerate(cols) if c & x]
+    unions = minimal_masks(covering_unions_lists([c for _, c in pool], x))
+    found = [(y, disj_of(ctx, [j for j, c in pool if c & ~y == 0])) for y in unions]
+    return Approximation(Direction.UPPER, Mode.VEE, _checked_bounds(ctx, found), x in unions)
 
 
 def cn_b_part_full_pool(cctx: CompoundContext, x: int, a_part: int) -> int:

@@ -13,6 +13,7 @@ from granudesc import (
     Direction,
     FlavorMismatch,
     FormalContext,
+    GranuleDescError,
     Inapplicable,
     Mode,
     appose_negation,
@@ -276,6 +277,15 @@ def test_cover_problem_rejects_duplicate_ids() -> None:
         CoverProblem(((0, frozenset()), (0, frozenset({1}))), frozenset())
 
 
+def test_cover_problem_rejects_negative_object_indices() -> None:
+    with pytest.raises(ValueError, match="^candidate 0 holds negative object index -1$"):
+        CoverProblem(((0, frozenset({-1})),), frozenset({0}))
+    with pytest.raises(ValueError, match="^candidate 7 holds negative object index -3$"):
+        CoverProblem(((2, frozenset({1})), (7, frozenset({4, -3, -1}))), frozenset())
+    with pytest.raises(ValueError, match="^the target holds negative object index -2$"):
+        CoverProblem(((0, frozenset({1})),), frozenset({-2, 0}))
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_obj=st.integers(1, 6),
@@ -421,6 +431,73 @@ def test_upper_cn_is_least_superset(
     # minimal, not least: the two-part family is not closed under
     # intersection, so incomparable supersets may exist
     assert not any(z >= x and z < granule for z in family)
+
+
+def _shaped_context(
+    rng: random.Random, n_obj: int, n_att: int, density: float, shape: str
+) -> FormalContext:
+    rows = [[rng.random() < density for _ in range(n_att)] for _ in range(n_obj)]
+    if shape == "empty column":
+        j = rng.randrange(n_att)
+        for row in rows:
+            row[j] = False
+    elif shape in ("full row", "empty row"):
+        rows[rng.randrange(n_obj)] = [shape == "full row"] * n_att
+    objects = tuple(str(i + 1) for i in range(n_obj))
+    return FormalContext(objects, tuple(f"a{j + 1}" for j in range(n_att)), tuple(map(tuple, rows)))
+
+
+def _granule_of_kind(rng: random.Random, ctx: FormalContext, kind: str) -> frozenset[int]:
+    universe = frozenset(range(ctx.n_objects))
+    if kind == "empty":
+        return frozenset()
+    if kind == "full":
+        return universe
+    if kind == "random":
+        return _subset(rng, ctx.n_objects)
+    cols = oracles.column_extents(ctx.incidence)
+    chosen = [c for c in cols if rng.random() < 0.5] or [rng.choice(cols)]
+    if kind == "extent":
+        return universe.intersection(*chosen)
+    return frozenset().union(*chosen)
+
+
+def _outcome(call) -> str | tuple[type, str]:
+    """The repr of the whole answer, or the type and message of the error."""
+    try:
+        return repr(call())
+    except (ValueError, GranuleDescError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obj=st.integers(1, 9),
+    n_att=st.integers(1, 7),
+    density=st.floats(0.1, 0.95),
+    shape=st.sampled_from(["plain", "empty column", "full row", "empty row"]),
+    kind=st.sampled_from(["empty", "full", "random", "extent", "union"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_cover_bounds_match_the_separate_routines(
+    seed: int, n_obj: int, n_att: int, density: float, shape: str, kind: str
+) -> None:
+    # direction, mode, granules with their descriptions and exact, or the
+    # exception, as the conjunctive lower bounds and upper_vee gave them
+    # from their own routines
+    rng = random.Random(seed)
+    ctx = _shaped_context(rng, n_obj, n_att, density, shape)
+    cctx = appose_negation(ctx)
+    x = _granule_of_kind(rng, ctx, kind)
+    pairs = [
+        (lambda: lower_wedge(ctx, x),
+         lambda: oracles.lower_by_complement_cover(ctx, x, Mode.WEDGE)),
+        (lambda: lower_three_way(cctx, x),
+         lambda: oracles.lower_by_complement_cover(cctx, x, Mode.THREE_WAY)),
+        (lambda: upper_vee(ctx, x), lambda: oracles.upper_vee_by_cover(ctx, x)),
+    ]
+    for got, want in pairs:
+        assert _outcome(got) == _outcome(want)
 
 
 # ---------------------------------------------------------------------------
