@@ -32,9 +32,14 @@ def set_of(mask: int) -> frozenset[int]:
 def member_vector(mask: int, width: int) -> str:
     """Membership string, index 0 first: "1" where the bit is set.
 
-    The order key for lexicographic ties and for the kernel's lectic
-    order.  Strings of one width compare character by character, so two
-    masks below ``1 << width`` order by their lowest differing bit, the
-    mask holding it last.
+    The order key for lexicographic ties.  Strings of one width compare
+    character by character, so two masks below ``1 << width`` order by
+    their lowest differing bit, the mask holding it last.
     """
     return format(mask, f"0{width}b")[::-1]
+
+
+def concept_key(mask: int, width: int) -> tuple[int, str]:
+    """Concept order, sorted descending: by size, then holding the lowest
+    differing object first, as ``Concept.sort_key`` lists extents."""
+    return mask.bit_count(), member_vector(mask, width)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from granudesc._bits import bits, member_vector
+from granudesc._bits import bits, concept_key
 
 
 def backend_name() -> str:
@@ -24,16 +24,15 @@ def formal_concepts(cols: Sequence[int], n_objects: int) -> list[tuple[int, int]
     intersection of the columns of its intent (all objects for the empty
     intent), and every such intersection is an extent, so meeting each
     column in turn with the extents found so far yields exactly the
-    extents, each once.  The pairs come in lectic order of their intents,
-    attribute 0 most significant: sorted by ``member_vector(intent,
-    len(cols))``.
+    extents, each once.  The pairs come in concept order, the order of
+    ``Concept.sort_key``: sorted descending by ``concept_key(extent,
+    n_objects)``, so the top concept comes first and the bottom last.
     """
     exts = {(1 << n_objects) - 1}
     for c in cols:
         exts |= {e & c for e in exts}
-    pairs = [(e, sum(1 << j for j, c in enumerate(cols) if e & c == e)) for e in exts]
-    width = len(cols)
-    return sorted(pairs, key=lambda p: member_vector(p[1], width))
+    order = sorted(exts, key=lambda e: concept_key(e, n_objects), reverse=True)
+    return [(e, sum(1 << j for j, c in enumerate(cols) if e & c == e)) for e in order]
 
 
 def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False) -> list[int]:

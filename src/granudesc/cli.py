@@ -54,13 +54,26 @@ class _CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The input's bytes as UTF-8 text, a leading byte order mark dropped.
+
+    Decoding the bytes whole, BOM included, keeps the offset of a bad
+    byte an offset into the input.
+    """
+    name = "stdin" if path == "-" else path
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise _CliError(f"cannot read {name}: {exc.strerror or exc}") from None
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise _CliError(
+            f"cannot read {name}: not UTF-8 at byte {exc.start} ({exc.reason})"
+        ) from None
 
 
 def _load_any(path: str) -> FormalContext | CompoundContext:

@@ -266,6 +266,8 @@ def _load_json(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ContextFormatError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ContextFormatError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ContextFormatError("expected a JSON object at the top level")
     return data

@@ -1,10 +1,11 @@
 """Concept enumeration and the order structure on concepts.
 
 Four concept systems share one canonical presentation: a concept is an
-(extent, intent) pair, listed by extent size descending and then
-lexicographically.  Formal, object-oriented and three-way families are
-complete lattices and come with cover edges; the common-and-necessary
-family is a plain list of fixed points.
+(extent, intent) pair, listed as the kernel lists extents: by size
+descending, then lexicographically.  The formal, three-way and
+object-oriented families are complete lattices with cover edges, the
+last being the formal concepts of the complemented columns flipped back;
+the common-and-necessary family is a plain list of fixed points.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from enum import Enum
 from collections.abc import Sequence
 
 from granudesc import _kernel
-from granudesc._bits import set_of
+from granudesc._bits import concept_key, set_of
 from granudesc.context import CompoundContext, Flavor, FormalContext
+from granudesc.definability import _RULES, Mode
 from granudesc.derivation import (
     CnIntent,
     _cn_b_part,
@@ -146,52 +148,45 @@ def _lower_neighbours(
 
 
 def _lattice(
-    cols: Sequence[int],
-    ctx: FormalContext | CompoundContext,
-    system: System,
-    force: bool,
-    complemented: bool = False,
+    mode: Mode, ctx: FormalContext | CompoundContext, force: bool, op: str
 ) -> ConceptLattice:
-    """Canonical lattice of the formal concepts over the columns ``cols``.
-
-    With ``complemented`` the columns are complements and every extent is
-    flipped back, which reverses inclusion and so every cover edge.
+    """Canonical lattice of a mode's concept family: the formal concepts
+    over the columns ``flip ^ c``, each extent ``e`` wrapped as ``flip ^ e``,
+    ``flip`` being the objects outside the closure of no attribute (De
+    Morgan: none in a conjunction, all in a disjunction).  Flipping reverses
+    inclusion, and so the kernel's order and every cover edge.
     """
+    rule = _RULES[mode]
+    _require_flavor(ctx, rule.flavor, op)
+    t = rule.table(ctx)
+    flip = t.full_object_mask ^ rule.close(t, 0)
+    cols = [flip ^ c for c in t.column_masks]
     _guard("enumeration", len(cols), "attributes", MAX_ENUMERATION_ATTRIBUTES, force)
-    pairs = _kernel.formal_concepts(cols, ctx.n_objects)
-    full = (1 << ctx.n_objects) - 1
-    concepts = [
-        Concept(set_of(full & ~ext if complemented else ext), set_of(att), system, ctx)
-        for ext, att in pairs
-    ]
-    order = sorted(range(len(concepts)), key=lambda k: concepts[k].sort_key())
-    pos = {k: p for p, k in enumerate(order)}
+    pairs = _kernel.formal_concepts(cols, t.n_objects)
+    system = System(rule.family)
+    concepts = [Concept(set_of(flip ^ e), set_of(a), system, ctx) for e, a in pairs]
     edges = _lower_neighbours(pairs, cols)
-    if complemented:
-        edges = [(low, up) for up, low in edges]
-    covers = tuple(sorted((pos[up], pos[low]) for up, low in edges))
-    return ConceptLattice(tuple(concepts[k] for k in order), covers, system)
+    if flip:
+        last = len(pairs) - 1
+        concepts.reverse()
+        edges = [(last - low, last - up) for up, low in edges]
+    return ConceptLattice(tuple(concepts), tuple(sorted(edges)), system)
 
 
 def enumerate_formal(ctx: FormalContext, force: bool = False) -> ConceptLattice:
     """All maximal object/attribute rectangles of the table."""
-    _require_flavor(ctx, None, "enumerate_formal")
-    return _lattice(ctx.column_masks, ctx, System.FORMAL, force)
+    return _lattice(Mode.WEDGE, ctx, force, "enumerate_formal")
 
 
 def enumerate_object_oriented(ctx: FormalContext, force: bool = False) -> ConceptLattice:
     """All pairs where the extent is the union of its intent's extents and
     the intent collects every attribute extent inside the granule."""
-    _require_flavor(ctx, None, "enumerate_object_oriented")
-    full = ctx.full_object_mask
-    comp = [full & ~c for c in ctx.column_masks]
-    return _lattice(comp, ctx, System.OBJECT_ORIENTED, force, complemented=True)
+    return _lattice(Mode.VEE, ctx, force, "enumerate_object_oriented")
 
 
 def enumerate_three_way(cctx: CompoundContext, force: bool = False) -> ConceptLattice:
     """Formal concepts over the flattened attribute-and-complement table."""
-    _require_flavor(cctx, Flavor.THREE_WAY, "enumerate_three_way")
-    return _lattice(cctx.flattened.column_masks, cctx, System.THREE_WAY, force)
+    return _lattice(Mode.THREE_WAY, cctx, force, "enumerate_three_way")
 
 
 def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
@@ -219,11 +214,11 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
         found |= unions
     found.discard(0)
     concepts = []
-    for x in found:
+    for x in sorted(found, key=lambda m: concept_key(m, n), reverse=True):
         a_part = _intent(cctx.a_block, x)
         e = CnIntent(set_of(a_part), set_of(_cn_b_part(cctx, x, a_part)))
         concepts.append(Concept(set_of(x), e, System.COMMON_NECESSARY, cctx))
-    return sorted(concepts, key=Concept.sort_key)
+    return concepts
 
 
 # ---------------------------------------------------------------------------

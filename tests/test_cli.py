@@ -5,8 +5,14 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from granudesc import FormalContext, serialize_context
 from granudesc.cli import main
@@ -507,14 +513,51 @@ def test_convert_rejects_compound_input(capsys) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _stdin_of(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` with bytes behind it, as a pipe has."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_stdin_dash_input(capsys, monkeypatch) -> None:
-    text = (DATA / "table1.cxt").read_text(encoding="utf-8")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(sys, "stdin", _stdin_of((DATA / "table1.cxt").read_bytes()))
     code, out, _ = run(
         capsys,
         ["define", "-", "--granule", "2,7", "--mode", "wedge", "--format", "text"],
     )
     assert code == 0 and out == "definable: a1 ∧ a2\n"
+
+
+def test_undecodable_input_exits_2_alike_from_file_and_stdin(
+    capsys, monkeypatch, tmp_path
+) -> None:
+    # Latin-1 "é" is the byte 0xE9, a UTF-8 lead byte that the newline after it breaks
+    data = "B\n\n1\n1\n\ncafé\na1\nX\n".encode("latin-1")
+    path = tmp_path / "latin1.cxt"
+    path.write_bytes(data)
+    output = tmp_path / "out"
+    for argv in (["validate"], ["convert", "--op", "complement", "--output", str(output)]):
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: cannot read {path}: not UTF-8 at byte 11 (invalid continuation byte)\n"
+        )
+        monkeypatch.setattr(sys, "stdin", _stdin_of(data))
+        assert run(capsys, [argv[0], "-", *argv[1:]]) == (2, "", err.replace(str(path), "stdin"))
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("name", ["table1.cxt", "table5.json"])
+def test_input_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, name) -> None:
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+    want = run(capsys, ["validate", str(DATA / name)])
+    assert want[0] == 0 and run(capsys, ["validate", str(path)]) == want
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path) -> None:
+    path = tmp_path / "deep.json"
+    path.write_text('{"objects": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert run(capsys, ["validate", str(path)]) == (2, "", "error: JSON nested too deeply\n")
 
 
 def test_granule_accepts_names_and_indices(capsys) -> None:
@@ -570,3 +613,57 @@ def test_granule_reads_non_ascii_digit_names(capsys, tmp_path) -> None:
     argv = ["define", str(path), "--mode", "wedge", "--format", "text", "--granule"]
     assert run(capsys, argv + ["²"]) == (0, "definable: a1\n", "")
     assert run(capsys, argv + ["٣"]) == (0, "definable: a2\n", "")
+
+
+# ---------------------------------------------------------------------------
+# malformed input bytes
+# ---------------------------------------------------------------------------
+
+SEED_INPUTS = [p.read_bytes() for p in sorted(DATA.glob("*")) if p.name != "cli_golden.json"]
+BAD_UTF8 = [b"\xff", b"\xe9", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@st.composite
+def _mutated_input(draw) -> bytes:
+    """A data file with bits flipped, bytes inserted and invalid UTF-8 spliced in."""
+    data = bytearray(draw(st.sampled_from(SEED_INPUTS)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["flip", "insert", "bom", "utf8"]))
+        if kind == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "insert":
+            data[at:at] = draw(st.sampled_from(list(b'{}[]",:X.\r'))).to_bytes(1, "big")
+        elif kind == "bom":
+            data[0:0] = b"\xef\xbb\xbf"
+        else:
+            data[at:at] = draw(st.sampled_from(BAD_UTF8))
+    return bytes(data)
+
+
+@given(
+    data=_mutated_input(),
+    via_stdin=st.booleans(),
+    mode=st.sampled_from(["wedge", "three-way", "vee", "cn"]),
+    variant=st.sampled_from(["formal", "object-oriented", "three-way", "cn"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_no_input_bytes_escape_main(data: bytes, via_stdin: bool, mode: str, variant: str) -> None:
+    """Whatever the bytes, each command ends in an exit code, not a traceback."""
+    commands = [
+        ["validate"],
+        ["concepts", "--variant", variant],
+        ["define", "--granule", "1", "--mode", mode],
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        for argv in commands:
+            source = "-" if via_stdin else str(path)
+            with (
+                mock.patch.object(sys, "stdin", _stdin_of(data)),
+                redirect_stdout(io.StringIO()),
+                redirect_stderr(io.StringIO()),
+            ):
+                code = main([argv[0], source, *argv[1:]])
+            assert 0 <= code <= 4, argv

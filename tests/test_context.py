@@ -104,6 +104,13 @@ def test_json_syntax_error_reports_position() -> None:
     assert err.value.column is not None
 
 
+@pytest.mark.parametrize("parse", [parse_context, parse_compound])
+def test_deeply_nested_json_is_a_format_error(parse) -> None:
+    text = '{"objects": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ContextFormatError, match="JSON nested too deeply"):
+        parse(text)
+
+
 def test_json_field_errors() -> None:
     with pytest.raises(ContextFormatError):
         parse_context('{"objects": ["1"], "attributes": "a", "incidence": [[1]]}')

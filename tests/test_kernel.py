@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import granudesc
 from granudesc import _kernel, parse_description
-from granudesc._bits import mask_of, set_of
+from granudesc._bits import bits, mask_of, set_of
 
 from . import oracles
 
@@ -25,11 +25,17 @@ def test_backend_name_is_exported() -> None:
 # ---------------------------------------------------------------------------
 
 
+def _concept_order(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Pairs by extent size descending, then by the extent's sorted indices."""
+    return sorted(pairs, key=lambda p: (-p[0].bit_count(), tuple(bits(p[0]))))
+
+
 def test_concept_enumeration_edge_shapes() -> None:
     assert _kernel.formal_concepts([], 3) == [(0b111, 0)]
     assert _kernel.formal_concepts([0, 0], 0) == [(0, 0b11)]
+    # concept order: the extent {0} comes before {1} and {2}
     assert _kernel.formal_concepts([0b001, 0b010, 0b100], 3) == [
-        (7, 0), (4, 4), (2, 2), (1, 1), (0, 7),
+        (7, 0), (1, 1), (2, 2), (4, 4), (0, 7),
     ]
 
 
@@ -54,7 +60,7 @@ def test_concepts_match_next_closure_and_brute_force(
     rows = tuple(tuple(rng.random() < density for _ in range(n_att)) for _ in range(n_obj))
     cols = [mask_of(i for i in range(n_obj) if rows[i][j]) for j in range(n_att)]
     got = _kernel.formal_concepts(cols, n_obj)
-    assert got == oracles.formal_concepts_next_closure(cols, n_obj)
+    assert got == _concept_order(oracles.formal_concepts_next_closure(cols, n_obj))
     brute = oracles.formal_concepts_bruteforce(rows, n_att)
     assert {(set_of(e), set_of(a)) for e, a in got} == brute
 

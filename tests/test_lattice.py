@@ -312,6 +312,42 @@ def test_cover_edges_on_edge_shapes(rows) -> None:
     _assert_covers_match_bruteforce(ctx)
 
 
+# ---------------------------------------------------------------------------
+# concept order
+# ---------------------------------------------------------------------------
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obj=st.integers(1, 8),
+    n_att=st.integers(1, 5),
+    n_b=st.integers(1, 4),
+    density=st.sampled_from([0.2, 0.5, 0.8]),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_family_lists_its_concepts_in_concept_order(
+    seed: int, n_obj: int, n_att: int, n_b: int, density: float
+) -> None:
+    """Each family comes sorted by ``Concept.sort_key``, every key once; the
+    object-oriented listing is the formal one over the complemented columns
+    in reverse."""
+    rng = random.Random(seed)
+    ctx = random_context(rng, n_obj, n_att, density)
+    cctx = random_cn_context(rng, n_obj, n_att, n_b, density)
+    for concepts in (
+        enumerate_formal(ctx).concepts,
+        enumerate_object_oriented(ctx).concepts,
+        enumerate_three_way(appose_negation(ctx)).concepts,
+        enumerate_cn(cctx),
+    ):
+        keys = [c.sort_key() for c in concepts]
+        assert list(concepts) == sorted(concepts, key=Concept.sort_key)
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    full = frozenset(range(n_obj))
+    flipped = [full - c.extent for c in enumerate_formal(complement_context(ctx)).concepts]
+    assert [c.extent for c in enumerate_object_oriented(ctx).concepts] == flipped[::-1]
+
+
 @pytest.mark.parametrize("n_objects", [0, 1, 3])
 def test_neighbour_edges_without_attributes(n_objects: int) -> None:
     # a table needs an attribute, so the empty column list is checked on masks

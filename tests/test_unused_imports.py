@@ -1,18 +1,22 @@
-"""Every name a package module imports at module level is used there.
+"""Every name a package module imports at module level is used there,
+and every module-level private function or class is used somewhere.
 
 No linter runs on this package, so this test stands in for the unused
-import check.  ``__init__.py`` is skipped: its imports are its exports.
+import and dead code checks.  ``__init__.py`` is skipped for imports:
+its imports are its exports.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "granudesc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -33,6 +37,37 @@ def _used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _referenced(tree: ast.AST) -> Counter[str]:
+    """Names and attribute names read anywhere in ``tree``, with counts."""
+    found: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+    return found
+
+
+def _unreferenced_private_defs(sources: dict[str, str]) -> set[str]:
+    """Module-level private functions and classes no module refers to;
+    a reference inside the definition itself does not count."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    everywhere: Counter[str] = Counter()
+    for tree in trees.values():
+        everywhere += _referenced(tree)
+    dead = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and everywhere[node.name] == _referenced(node)[node.name]
+            ):
+                dead.add(f"{name}:{node.name}")
+    return dead
+
+
 def test_the_package_has_modules_to_check() -> None:
     assert len(MODULES) >= 5
 
@@ -51,3 +86,22 @@ def test_an_unused_import_is_found() -> None:
     )
     used = _used_names(tree)
     assert {n for n in _imported_names(tree) if n not in used} == {"b", "d"}
+
+
+def test_every_private_helper_is_referenced() -> None:
+    sources = {p.name: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    assert not _unreferenced_private_defs(sources)
+
+
+def test_an_unreferenced_private_helper_is_found() -> None:
+    sources = {
+        "a.py": (
+            "def _used():\n    pass\n\n"
+            "def _self_only(n):\n    return _self_only(n - 1)\n\n"
+            "class _Dead:\n    pass\n\n"
+            "def __dunder__():\n    pass\n\n"
+            "def public():\n    pass\n"
+        ),
+        "b.py": "import a\n\na._used()\n",
+    }
+    assert _unreferenced_private_defs(sources) == {"a.py:_self_only", "a.py:_Dead"}
