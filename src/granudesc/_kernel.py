@@ -91,8 +91,9 @@ def minimal_transversals(pool: Sequence[int], target: int) -> list[int]:
     return sorted(_minimal_antichain(found), key=lambda m: (m.bit_count(), tuple(bits(m))))
 
 
-def _covering_unions(pool: list[int], target: int) -> list[int]:
-    """All candidate unions containing target that no branch can shrink.
+def _covering_unions(pool: list[int], target: int) -> set[int]:
+    """All candidate unions containing target that no branch can shrink,
+    each once (the one union 0 for the empty target).
 
     Sets of candidates are masks over pool indices: ``by_obj[o]`` holds
     the indices of the candidates covering target object ``o`` (keyed by
@@ -101,7 +102,9 @@ def _covering_unions(pool: list[int], target: int) -> list[int]:
     available covers, and a branch sets aside only the covers of that
     object tried before it.  An uncovered object whose covers all lay
     among those would have had fewer covers, so no object loses its last
-    cover; an object with none ends its node at once.
+    cover; an object with none ends its node at once.  A branch's union
+    is tested where it is made: one that covers the target is a leaf and
+    goes into the set, so only the nodes that still branch are calls.
     """
     by_obj: dict[int, int] = {}
     for i, c in enumerate(pool):
@@ -110,13 +113,10 @@ def _covering_unions(pool: list[int], target: int) -> list[int]:
             low = m & -m
             by_obj[low] = by_obj.get(low, 0) | 1 << i
             m ^= low
-    found: list[int] = []
+    found: set[int] = set()
 
     def rec(pu: int, avail: int) -> None:
         rem = target & ~pu
-        if rem == 0:
-            found.append(pu)
-            return
         best = -1
         fewest = len(pool) + 1
         while rem:
@@ -133,9 +133,16 @@ def _covering_unions(pool: list[int], target: int) -> list[int]:
             low = best & -best
             # skipping earlier covers of the same object avoids revisits
             best ^= low
-            rec(pu | pool[low.bit_length() - 1], best | rest)
+            u = pu | pool[low.bit_length() - 1]
+            if target & ~u:
+                rec(u, best | rest)
+            else:
+                found.add(u)
 
-    rec(0, (1 << len(pool)) - 1)
+    if target:
+        rec(0, (1 << len(pool)) - 1)
+    else:
+        found.add(0)
     del rec  # rec refers to itself through its closure cell
     return found
 

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from typing import TypeVar
 
 from granudesc import _kernel
-from granudesc._bits import bits, mask_of, set_of
+from granudesc._bits import bit_tuple, mask_of, set_of
 from granudesc.context import (
     CompoundContext,
     FormalContext,
@@ -86,7 +86,7 @@ _P = TypeVar("_P")
 
 def _sorted_granules(items: list[tuple[int, _P]]) -> tuple[tuple[ObjectSet, _P], ...]:
     """By size, then index tuple: one read of a granule's bits gives both key and set."""
-    keyed = [(tuple(bits(g)), d) for g, d in items]
+    keyed = [(bit_tuple(g), d) for g, d in items]
     keyed.sort(key=lambda k: (len(k[0]), k[0]))
     return tuple((frozenset(t), d) for t, d in keyed)
 

@@ -54,7 +54,8 @@ class _CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    """The input's bytes as UTF-8 text, a leading byte order mark dropped.
+    """The input's bytes as UTF-8 text; the parsers drop a leading byte
+    order mark.
 
     Decoding the bytes whole, BOM included, keeps the offset of a bad
     byte an offset into the input.
@@ -69,7 +70,7 @@ def _read_text(path: str) -> str:
     except OSError as exc:
         raise _CliError(f"cannot read {name}: {exc.strerror or exc}") from None
     try:
-        return data.decode("utf-8").removeprefix("\ufeff")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _CliError(
             f"cannot read {name}: not UTF-8 at byte {exc.start} ({exc.reason})"

@@ -304,7 +304,8 @@ def _context_from_json(data: dict) -> FormalContext:
 
 
 def parse_context(text: str) -> FormalContext:
-    """Parse a formal context from cxt or JSON text (auto-detected).
+    """Parse a formal context from cxt or JSON text (auto-detected; one
+    leading byte order mark is dropped).
 
     JSON with a top-level ``flavor`` key is a compound context; it is
     refused with a pointer to ``parse_compound``.
@@ -333,8 +334,9 @@ def serialize_context(ctx: FormalContext, format: str = "cxt") -> str:
 
 
 def parse_compound(text: str) -> CompoundContext:
-    """Parse a compound context from its JSON shape."""
-    return _compound_from_json(_load_json(text))
+    """Parse a compound context from its JSON shape; one leading byte
+    order mark is dropped."""
+    return _compound_from_json(_load_json(text.removeprefix("\ufeff")))
 
 
 def _compound_from_json(data: dict) -> CompoundContext:
@@ -357,7 +359,9 @@ def _compound_from_json(data: dict) -> CompoundContext:
 
 def _parse_any(text: str) -> FormalContext | CompoundContext:
     """A compound when the text is a JSON object with a top-level
-    ``flavor`` key, a plain context otherwise."""
+    ``flavor`` key, a plain context otherwise.  One leading byte order
+    mark, which ``str.lstrip`` keeps, is dropped first."""
+    text = text.removeprefix("\ufeff")
     if not text.lstrip().startswith("{"):
         return _parse_cxt(text)
     data = _load_json(text)

@@ -109,7 +109,9 @@ def _kinds(ctx: FormalContext | CompoundContext) -> dict[tuple[str, bool], tuple
     three-way compound also negated a, which keeps the a-names and reads
     the paired b column.  Built on first use and kept in the instance dict
     as the cached masks are, where equality, hashing and repr of the
-    context do not see it."""
+    context do not see it.  Beside it, ``_own_atoms`` maps the id of each
+    of these atoms to the atom and its column, for ``_atom_column``; each
+    entry holds its atom alive, so no other object takes its id."""
     kinds = ctx.__dict__.get("_atom_kinds")
     if kinds is None:
         if isinstance(ctx, FormalContext):
@@ -128,6 +130,9 @@ def _kinds(ctx: FormalContext | CompoundContext) -> dict[tuple[str, bool], tuple
             for v, neg, names, cols in spec
         }
         ctx.__dict__["_atom_kinds"] = kinds
+        ctx.__dict__["_own_atoms"] = {
+            id(a): (a, col) for _, cols, row in kinds.values() for a, col in zip(row, cols)
+        }
     return kinds
 
 
@@ -194,7 +199,17 @@ def conj_disj(
 
 def _atom_column(ctx: FormalContext | CompoundContext, atom: Atom) -> int:
     """Object mask of the atom, checking that its kind, index and name
-    resolve in this context."""
+    resolve in this context.
+
+    One of the context's own atoms, as the builders and the parser hand
+    them out, resolves by identity; the entry holds the atom itself, so
+    the stale ids an unpickled context carries fall through to the check.
+    Any other atom, built by hand or taken from another context, is
+    checked by kind, index and name."""
+    own = ctx.__dict__.get("_own_atoms")
+    hit = own and own.get(id(atom))
+    if hit and hit[0] is atom:
+        return hit[1]
     kind = _kinds(ctx).get((atom.block._value_, atom.negated))
     if kind is None or not 0 <= atom.index < len(kind[0]) or kind[0][atom.index] != atom.name:
         raise GranuleDescError(f"atom {atom.name!r} does not resolve in this context")

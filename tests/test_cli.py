@@ -554,6 +554,15 @@ def test_input_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, name) -
     assert want[0] == 0 and run(capsys, ["validate", str(path)]) == want
 
 
+def test_undecodable_input_after_a_byte_order_mark_counts_it(capsys, tmp_path) -> None:
+    # the offset counts from the start of the input, the BOM's 3 bytes included
+    path = tmp_path / "bom_latin1.cxt"
+    path.write_bytes(b"\xef\xbb\xbf" + "B\n\n1\n1\n\ncafé\na1\nX\n".encode("latin-1"))
+    assert run(capsys, ["validate", str(path)]) == (
+        2, "", f"error: cannot read {path}: not UTF-8 at byte 14 (invalid continuation byte)\n"
+    )
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path) -> None:
     path = tmp_path / "deep.json"
     path.write_text('{"objects": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")

@@ -127,6 +127,19 @@ def test_parse_context_points_compound_input_to_parse_compound() -> None:
     assert parse_compound(text).flavor is Flavor.COMMON_NECESSARY
 
 
+@pytest.mark.parametrize("name", ["table1.cxt", "table1.json", "table5.json"])
+def test_one_byte_order_mark_is_dropped(table1: FormalContext, name: str) -> None:
+    # what reading a BOM file as "utf-8" gives; JSON is not misread as cxt
+    if name == "table1.json":
+        text = serialize_context(table1, "json")
+    else:
+        text = load_text(name)
+    parse = parse_compound if name == "table5.json" else parse_context
+    assert parse("\ufeff" + text) == parse(text)
+    with pytest.raises(ContextFormatError):
+        parse("\ufeff\ufeff" + text)
+
+
 def test_cxt_with_crlf_line_ends_parses_like_lf(table1: FormalContext) -> None:
     text = load_text("table1.cxt")
     assert "\r" not in text

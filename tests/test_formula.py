@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from granudesc import (
     evaluate,
     extent,
     make_cn_context,
+    parse_context,
     parse_description,
     possibility,
     render,
@@ -32,7 +34,14 @@ from granudesc import (
 
 from granudesc import formula
 
-from .conftest import attrs, obj_names, objs, random_cn_context, random_context
+from .conftest import (
+    attrs,
+    load_text,
+    obj_names,
+    objs,
+    random_cn_context,
+    random_context,
+)
 from .oracles import FRESH_BUILDERS, column_extents, parse_description_scanner
 from .oracles import _TOKEN as SCANNER_TOKEN
 
@@ -211,6 +220,64 @@ def test_evaluate_refuses_negated_b_atoms(table3: CompoundContext, table5) -> No
     for ctx, name in [(table3, "not_a1"), (table5, "b1")]:
         with pytest.raises(GranuleDescError, match="does not resolve"):
             evaluate(ctx, Conj((Atom(Block.B, 0, name, negated=True),)))
+
+
+def _equal_and_renamed(ctx):
+    """An equal but distinct copy of the context, and a context of the same
+    shape whose attribute names all differ."""
+    if isinstance(ctx, FormalContext):
+        fields = (ctx.objects, ctx.attributes, ctx.incidence)
+        renamed = (ctx.objects, tuple(n + "'" for n in ctx.attributes), ctx.incidence)
+        return FormalContext(*fields), FormalContext(*renamed)
+    fields = [ctx.objects, ctx.a_attributes, ctx.b_attributes]
+    rest = (ctx.a_incidence, ctx.b_incidence, ctx.flavor)
+    renamed = [ctx.objects] + [tuple(n + "'" for n in names) for names in fields[1:]]
+    return CompoundContext(*fields, *rest), CompoundContext(*renamed, *rest)
+
+
+def _hand_built(d):
+    """The description rebuilt from fresh, equal atoms."""
+    fresh = lambda atoms: tuple(dataclasses.replace(x) for x in atoms)
+    if isinstance(d, ConjDisj):
+        return ConjDisj(fresh(d.conj_atoms), fresh(d.disj_atoms))
+    return type(d)(fresh(d.atoms))
+
+
+def test_own_atoms_resolve_by_identity_and_others_by_name(table1, table3, table5) -> None:
+    cases = [
+        (table1, conj_of(table1, [0, 1])),
+        (table1, disj_of(table1, [2, 4])),
+        (table3, three_way_conj(table3, [0, 6])),
+        (table5, conj_disj(table5, [0], [1, 2])),
+        (table1, parse_description("a1 & a3", table1)),
+    ]
+    for ctx, d in cases:
+        equal, renamed = _equal_and_renamed(ctx)
+        assert equal == ctx and equal is not ctx
+        want = evaluate(ctx, _hand_built(d))
+        assert evaluate(ctx, d) == want
+        assert evaluate(equal, d) == want
+        with pytest.raises(GranuleDescError, match="does not resolve"):
+            evaluate(renamed, d)
+        # the builders and the parser hand out the context's own atoms
+        own, others = ctx.__dict__["_own_atoms"], equal.__dict__["_own_atoms"]
+        assert all(own[id(x)][0] is x for x in _all_atoms(d))
+        assert not any(id(x) in others for x in _all_atoms(d))
+
+
+def test_a_stale_id_falls_through_to_the_name_check() -> None:
+    ctx = parse_context(load_text("table1.cxt"))
+    d = conj_of(ctx, [0])
+    want = evaluate(ctx, d)
+    # an unpickled context carries its map with the ids of the old atoms
+    clone = pickle.loads(pickle.dumps(ctx))
+    assert "_own_atoms" in clone.__dict__
+    assert evaluate(clone, d) == evaluate(clone, conj_of(clone, [0])) == want
+    # an entry under the id of another atom: the atom is compared, not trusted
+    stranger = a(0, "zzz")
+    ctx.__dict__["_own_atoms"][id(stranger)] = (d.atoms[0], 1)
+    with pytest.raises(GranuleDescError, match="does not resolve"):
+        evaluate(ctx, Conj((stranger,)))
 
 
 # the atom kinds each context admits, by (block, negated)

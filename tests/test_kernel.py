@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import granudesc
-from granudesc import _kernel, parse_description
-from granudesc._bits import bits, mask_of, set_of
+from granudesc import _bits, _kernel, parse_description
+from granudesc._bits import bit_tuple, bits, mask_of, set_of
 
 from . import oracles
 
@@ -18,6 +20,64 @@ from . import oracles
 def test_backend_name_is_exported() -> None:
     assert granudesc.backend_name is _kernel.backend_name
     assert granudesc.backend_name() == "pure"
+
+
+# ---------------------------------------------------------------------------
+# the byte-table bit reader
+# ---------------------------------------------------------------------------
+
+
+def _mask_of_width(width: int) -> st.SearchStrategy[int]:
+    """Masks whose highest set bit is bit ``width - 1``."""
+    return st.integers(1 << width - 1, (1 << width) - 1)
+
+
+@given(
+    mask=st.just(0)
+    | st.integers(0, 199).map(lambda i: 1 << i)
+    | st.integers(1, 200).flatmap(_mask_of_width)
+    # widths either side of the table's last byte and well past it
+    | st.sampled_from([63, 64, 65, 101, 200]).flatmap(_mask_of_width)
+)
+@settings(max_examples=500, deadline=None)
+def test_bit_tuple_reads_like_bits(mask: int) -> None:
+    assert list(bit_tuple(mask)) == list(bits(mask))
+
+
+def test_bit_table_stays_within_its_bound() -> None:
+    table = _bits._byte_table()
+    for width in (8, 64, 65, 200, 1000):
+        bit_tuple((1 << width) - 1)
+    # one table, built whole: 8 bytes of 256 entries, wider bits read by bits()
+    assert _bits._byte_table() is table
+    assert len(table) == _bits._TABLE_BYTES == 8
+    assert all(len(row) == 256 for row in table)
+    assert table[7][0x80] == (63,)
+
+
+def test_bit_table_built_under_threads_reads_alike() -> None:
+    # threads racing to build the table each see a whole one; 8 threads on
+    # fewer cores, switching often
+    masks = [random.Random(i).getrandbits(80) for i in range(400)]
+    wrong: list[int] = []
+    saved, interval = _bits._BYTE_BITS, sys.getswitchinterval()
+    _bits._BYTE_BITS = ()
+    sys.setswitchinterval(1e-6)
+    try:
+        def read() -> None:
+            wrong.extend(m for m in masks if bit_tuple(m) != tuple(bits(m)))
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(_bits._byte_table()) == _bits._TABLE_BYTES
+    finally:
+        sys.setswitchinterval(interval)
+        _bits._BYTE_BITS = saved
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +235,46 @@ def test_cover_edge_shapes_with_candidates_inside_the_target() -> None:
         assert _kernel.minimal_cover_unions(cands, 0b0111, strict) == [0b01111, 0b10111]
     # the empty target is covered by the empty union, whatever the pool
     assert _kernel.minimal_cover_unions([0b01, 0b10], 0) == [0]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obj=st.integers(0, 10),
+    n_cand=st.integers(0, 8),
+    density=st.sampled_from([0.2, 0.5, 0.8]),
+    union_target=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_cover_search_finds_each_union_once(
+    seed: int, n_obj: int, n_cand: int, density: float, union_target: bool
+) -> None:
+    # leaves are tested where they are made and kept in a set; sizes 0
+    # give the empty target and the empty pool
+    cands, target = _cover_problem(random.Random(seed), n_obj, n_cand, density, union_target)
+    pool = [c for c in cands if c]
+    found = list(_kernel._covering_unions(pool, target))
+    assert len(found) == len(set(found))
+    for u in found:
+        assert target & ~u == 0
+        assert u == mask_of(j for c in pool if c & ~u == 0 for j in bits(c))
+    lists = oracles.covering_unions_lists(pool, target)
+    assert oracles.minimal_masks(found) == oracles.minimal_masks(lists)
+    assert _kernel.minimal_cover_unions(cands, target) == oracles.minimal_masks(lists)
+    strict = oracles.strict_covers_per_object(cands, target)
+    assert _kernel.minimal_cover_unions(cands, target, True) == strict
+    keeps = lambda s: target & ~mask_of(j for i in bits(s) for j in bits(cands[i])) == 0
+    scan = oracles.minimal_subsets_scan(list(range(n_cand)), keeps)
+    assert _kernel.minimal_transversals(cands, target) == scan
+
+
+def test_cover_search_of_the_empty_target_or_pool() -> None:
+    assert _kernel._covering_unions([], 0) == {0}
+    assert _kernel._covering_unions([0b01, 0b10], 0) == {0}
+    assert _kernel._covering_unions([], 0b1) == set()
+    # three branches reach the union 0b111 (the list search keeps all three)
+    pool = [0b011, 0b110, 0b101]
+    assert oracles.covering_unions_lists(pool, 0b111) == [0b111] * 3
+    assert _kernel._covering_unions(pool, 0b111) == {0b111}
 
 
 @given(masks=st.lists(st.integers(0, 63), max_size=40))
