@@ -104,8 +104,12 @@ def _covering_unions(pool: list[int], target: int) -> set[int]:
     among those would have had fewer covers, so no object loses its last
     cover; an object with none ends its node at once.  A branch's union
     is tested where it is made: one that covers the target is a leaf and
-    goes into the set, so only the nodes that still branch are calls.
+    goes into the set, and only a node that still branches becomes a
+    ``(union, avail)`` frame on the stack.  The nodes are frames, not
+    calls, so no depth limit caps the number of candidates.
     """
+    if not target:
+        return {0}
     by_obj: dict[int, int] = {}
     for i, c in enumerate(pool):
         m = c & target
@@ -114,19 +118,19 @@ def _covering_unions(pool: list[int], target: int) -> set[int]:
             by_obj[low] = by_obj.get(low, 0) | 1 << i
             m ^= low
     found: set[int] = set()
-
-    def rec(pu: int, avail: int) -> None:
+    stack = [(0, (1 << len(pool)) - 1)]
+    while stack:
+        pu, avail = stack.pop()
         rem = target & ~pu
-        best = -1
         fewest = len(pool) + 1
         while rem:
             low = rem & -rem
             covers = by_obj.get(low, 0) & avail
             n = covers.bit_count()
             if n < fewest:
-                if n == 0:
-                    return
                 fewest, best = n, covers
+                if not n:
+                    break
             rem ^= low
         rest = avail & ~best
         while best:
@@ -135,15 +139,9 @@ def _covering_unions(pool: list[int], target: int) -> set[int]:
             best ^= low
             u = pu | pool[low.bit_length() - 1]
             if target & ~u:
-                rec(u, best | rest)
+                stack.append((u, best | rest))
             else:
                 found.add(u)
-
-    if target:
-        rec(0, (1 << len(pool)) - 1)
-    else:
-        found.add(0)
-    del rec  # rec refers to itself through its closure cell
     return found
 
 

@@ -30,6 +30,12 @@ def _freeze_rows(rows: Iterable[Iterable[object]]) -> tuple[tuple[bool, ...], ..
     return tuple(tuple(bool(v) for v in row) for row in rows)
 
 
+def _fields_only(self) -> dict[str, object]:
+    """State to pickle or copy: the fields alone, so a clone rebuilds its
+    cached masks and atom maps on first use instead of sharing them."""
+    return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
+
 @dataclass(frozen=True)
 class FormalContext:
     """Immutable object-attribute table.
@@ -42,6 +48,8 @@ class FormalContext:
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
     incidence: tuple[tuple[bool, ...], ...]
+
+    __getstate__ = _fields_only
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -112,6 +120,8 @@ class CompoundContext:
     a_incidence: tuple[tuple[bool, ...], ...]
     b_incidence: tuple[tuple[bool, ...], ...]
     flavor: Flavor
+
+    __getstate__ = _fields_only
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))

@@ -202,10 +202,10 @@ def _atom_column(ctx: FormalContext | CompoundContext, atom: Atom) -> int:
     resolve in this context.
 
     One of the context's own atoms, as the builders and the parser hand
-    them out, resolves by identity; the entry holds the atom itself, so
-    the stale ids an unpickled context carries fall through to the check.
-    Any other atom, built by hand or taken from another context, is
-    checked by kind, index and name."""
+    them out, resolves by identity; the entry holds the atom itself, and
+    one under another atom's id falls through to the check.  A pickled or
+    copied context builds its own map.  Any other atom, built by hand or
+    taken from another context, is checked by kind, index and name."""
     own = ctx.__dict__.get("_own_atoms")
     hit = own and own.get(id(atom))
     if hit and hit[0] is atom:

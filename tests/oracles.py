@@ -313,6 +313,53 @@ def covering_unions_lists(pool: list[int], target: int) -> list[int]:
     return found
 
 
+def covering_unions_recursive(pool: list[int], target: int) -> set[int]:
+    """All candidate unions containing target that no branch can shrink,
+    each once (the one union 0 for the empty target).
+
+    The recursive form of the kernel's index-bitset search, which its
+    stack of frames replaced: one call per node that still branches, so
+    the interpreter's recursion limit caps the number of candidates.
+    """
+    by_obj: dict[int, int] = {}
+    for i, c in enumerate(pool):
+        m = c & target
+        while m:
+            low = m & -m
+            by_obj[low] = by_obj.get(low, 0) | 1 << i
+            m ^= low
+    found: set[int] = set()
+
+    def rec(pu: int, avail: int) -> None:
+        rem = target & ~pu
+        best = -1
+        fewest = len(pool) + 1
+        while rem:
+            low = rem & -rem
+            covers = by_obj.get(low, 0) & avail
+            n = covers.bit_count()
+            if n < fewest:
+                if n == 0:
+                    return
+                fewest, best = n, covers
+            rem ^= low
+        rest = avail & ~best
+        while best:
+            low = best & -best
+            best ^= low
+            u = pu | pool[low.bit_length() - 1]
+            if target & ~u:
+                rec(u, best | rest)
+            else:
+                found.add(u)
+
+    if target:
+        rec(0, (1 << len(pool)) - 1)
+    else:
+        found.add(0)
+    return found
+
+
 def minimal_masks(masks: list[int]) -> list[int]:
     """Inclusion-minimal masks, duplicate-free, by (popcount, mask value)."""
     kept: list[int] = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 import random
@@ -265,14 +266,20 @@ def test_own_atoms_resolve_by_identity_and_others_by_name(table1, table3, table5
         assert not any(id(x) in others for x in _all_atoms(d))
 
 
-def test_a_stale_id_falls_through_to_the_name_check() -> None:
+def test_a_stale_id_falls_through_to_the_name_check(table3) -> None:
     ctx = parse_context(load_text("table1.cxt"))
     d = conj_of(ctx, [0])
-    want = evaluate(ctx, d)
-    # an unpickled context carries its map with the ids of the old atoms
-    clone = pickle.loads(pickle.dumps(ctx))
-    assert "_own_atoms" in clone.__dict__
-    assert evaluate(clone, d) == evaluate(clone, conj_of(clone, [0])) == want
+    # a pickled or copied context leaves its maps behind: the clone builds
+    # its own, so its own atoms resolve by identity and the original's by name
+    builders = ((ctx, lambda c: conj_of(c, [0])), (table3, lambda c: three_way_conj(c, [6])))
+    for orig, build in builders:
+        want = evaluate(orig, build(orig))
+        for clone in (pickle.loads(pickle.dumps(orig)), copy.deepcopy(orig), copy.copy(orig)):
+            assert clone == orig and hash(clone) == hash(orig)
+            assert "_own_atoms" not in clone.__dict__
+            mine = build(clone)
+            assert clone.__dict__["_own_atoms"][id(mine.atoms[0])][0] is mine.atoms[0]
+            assert evaluate(clone, mine) == evaluate(clone, build(orig)) == want
     # an entry under the id of another atom: the atom is compared, not trusted
     stranger = a(0, "zzz")
     ctx.__dict__["_own_atoms"][id(stranger)] = (d.atoms[0], 1)

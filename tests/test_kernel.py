@@ -248,12 +248,13 @@ def test_cover_edge_shapes_with_candidates_inside_the_target() -> None:
 def test_cover_search_finds_each_union_once(
     seed: int, n_obj: int, n_cand: int, density: float, union_target: bool
 ) -> None:
-    # leaves are tested where they are made and kept in a set; sizes 0
-    # give the empty target and the empty pool
+    # leaves are tested where they are made and kept in a set, exactly the
+    # recursive search's; sizes 0 give the empty target and the empty pool
     cands, target = _cover_problem(random.Random(seed), n_obj, n_cand, density, union_target)
     pool = [c for c in cands if c]
     found = list(_kernel._covering_unions(pool, target))
     assert len(found) == len(set(found))
+    assert set(found) == oracles.covering_unions_recursive(pool, target)
     for u in found:
         assert target & ~u == 0
         assert u == mask_of(j for c in pool if c & ~u == 0 for j in bits(c))

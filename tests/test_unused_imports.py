@@ -1,9 +1,12 @@
 """Every name a package module imports at module level is used there,
-and every module-level private function or class is used somewhere.
+every module-level private function or class is used somewhere, and no
+function calls itself.
 
 No linter runs on this package, so this test stands in for the unused
 import and dead code checks.  ``__init__.py`` is skipped for imports:
-its imports are its exports.
+its imports are its exports.  A function that calls itself puts its
+search on the interpreter stack, whose depth limit then caps the input
+size; a search keeps its nodes in a stack of its own instead.
 """
 
 from __future__ import annotations
@@ -68,6 +71,28 @@ def _unreferenced_private_defs(sources: dict[str, str]) -> set[str]:
     return dead
 
 
+def _callee(func: ast.expr) -> str | None:
+    """The name a call reaches its function by: ``f`` or ``self.f``/``cls.f``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.attr if func.value.id in ("self", "cls") else None
+    return None
+
+
+def _self_calling_defs(tree: ast.Module) -> set[str]:
+    """Functions, at any depth, with a call to their own name in their body."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(node, ast.Call) and _callee(node.func) == fn.name
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+        ):
+            found.add(fn.name)
+    return found
+
+
 def test_the_package_has_modules_to_check() -> None:
     assert len(MODULES) >= 5
 
@@ -105,3 +130,23 @@ def test_an_unreferenced_private_helper_is_found() -> None:
         "b.py": "import a\n\na._used()\n",
     }
     assert _unreferenced_private_defs(sources) == {"a.py:_self_only", "a.py:_Dead"}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not _self_calling_defs(tree)
+
+
+def test_a_self_calling_function_is_found() -> None:
+    tree = ast.parse(
+        "def direct(n):\n    return direct(n - 1)\n\n"
+        "def outer(xs):\n"
+        "    def rec(i):\n        rec(i + 1)\n"
+        "    rec(0)\n\n"
+        "class C:\n"
+        "    def walk(self):\n        self.walk()\n"
+        "    def step(self, other):\n        other.step()\n        return step\n\n"
+        "def plain(n):\n    return abs(n)\n"
+    )
+    assert _self_calling_defs(tree) == {"direct", "rec", "walk"}
