@@ -6,172 +6,68 @@ conjunction with negated attributes, by a disjunction, or by a
 conjunction and-ed with a disjunct over a second attribute block; it
 synthesizes the describing formula when one exists and computes the
 tightest definable bounds when none does.
-"""
 
-from granudesc._kernel import backend_name
-from granudesc.approximation import (
-    Approximation,
-    CoverProblem,
-    Direction,
-    Mode,
-    enumerate_minimal_covers,
-    lower_three_way,
-    lower_vee,
-    lower_wedge,
-    upper_cn,
-    upper_three_way,
-    upper_vee,
-    upper_wedge,
-)
-from granudesc.context import (
-    AttributeSet,
-    CompoundContext,
-    Flavor,
-    FormalContext,
-    ObjectSet,
-    appose_negation,
-    complement_context,
-    make_cn_context,
-    parse_compound,
-    parse_context,
-    serialize_compound,
-    serialize_context,
-)
-from granudesc.definability import (
-    Reason,
-    Status,
-    Verdict,
-    find_covering_elements,
-    intersect_descriptions,
-    is_cn_definable,
-    is_three_way_definable,
-    is_vee_definable,
-    is_wedge_definable,
-    minimal_descriptions,
-    union_vee_descriptions,
-)
-from granudesc.derivation import (
-    CnIntent,
-    cn_extent,
-    cn_intent,
-    compound_extent,
-    compound_intent,
-    extent,
-    intent,
-    necessity,
-    possibility,
-)
-from granudesc.errors import (
-    ContextFormatError,
-    FlavorMismatch,
-    GranuleDescError,
-    Inapplicable,
-    SizeGuardExceeded,
-)
-from granudesc.formula import (
-    Atom,
-    Block,
-    Conj,
-    ConjDisj,
-    Description,
-    Disj,
-    conj_disj,
-    conj_of,
-    disj_of,
-    evaluate,
-    parse_description,
-    render,
-    three_way_conj,
-)
-from granudesc.lattice import (
-    Concept,
-    ConceptLattice,
-    System,
-    concept_join,
-    concept_leq,
-    concept_meet,
-    enumerate_cn,
-    enumerate_formal,
-    enumerate_object_oriented,
-    enumerate_three_way,
-    lattice_to_dot,
-)
+``import granudesc`` loads no submodule.  A public name, or a submodule
+named as an attribute, loads its module on first use and is kept here,
+so a later lookup is a plain attribute read.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Approximation",
-    "Atom",
-    "AttributeSet",
-    "Block",
-    "CompoundContext",
-    "Concept",
-    "ConceptLattice",
-    "Conj",
-    "ConjDisj",
-    "ContextFormatError",
-    "CoverProblem",
-    "CnIntent",
-    "Description",
-    "Direction",
-    "Disj",
-    "Flavor",
-    "FlavorMismatch",
-    "FormalContext",
-    "GranuleDescError",
-    "Inapplicable",
-    "Mode",
-    "ObjectSet",
-    "Reason",
-    "SizeGuardExceeded",
-    "Status",
-    "System",
-    "Verdict",
-    "appose_negation",
-    "backend_name",
-    "cn_extent",
-    "cn_intent",
-    "complement_context",
-    "compound_extent",
-    "compound_intent",
-    "concept_join",
-    "concept_leq",
-    "concept_meet",
-    "conj_disj",
-    "conj_of",
-    "disj_of",
-    "enumerate_cn",
-    "enumerate_formal",
-    "enumerate_minimal_covers",
-    "enumerate_object_oriented",
-    "enumerate_three_way",
-    "evaluate",
-    "extent",
-    "find_covering_elements",
-    "intent",
-    "intersect_descriptions",
-    "is_cn_definable",
-    "is_three_way_definable",
-    "is_vee_definable",
-    "is_wedge_definable",
-    "lattice_to_dot",
-    "lower_three_way",
-    "lower_vee",
-    "lower_wedge",
-    "make_cn_context",
-    "minimal_descriptions",
-    "necessity",
-    "parse_compound",
-    "parse_context",
-    "parse_description",
-    "possibility",
-    "render",
-    "serialize_compound",
-    "serialize_context",
-    "three_way_conj",
-    "union_vee_descriptions",
-    "upper_cn",
-    "upper_three_way",
-    "upper_vee",
-    "upper_wedge",
-]
+# each public name under the module that defines it
+_EXPORTS = {
+    "_kernel": ("backend_name",),
+    "approximation": (
+        "Approximation", "CoverProblem", "Direction", "enumerate_minimal_covers",
+        "lower_three_way", "lower_vee", "lower_wedge", "upper_cn", "upper_three_way",
+        "upper_vee", "upper_wedge",
+    ),
+    "context": (
+        "AttributeSet", "CompoundContext", "Flavor", "FormalContext", "ObjectSet",
+        "appose_negation", "complement_context", "make_cn_context",
+        "parse_compound", "parse_context", "serialize_compound", "serialize_context",
+    ),
+    "definability": (
+        "Mode", "Reason", "Status", "Verdict", "find_covering_elements",
+        "intersect_descriptions", "is_cn_definable", "is_three_way_definable",
+        "is_vee_definable", "is_wedge_definable", "minimal_descriptions",
+        "union_vee_descriptions",
+    ),
+    "derivation": (
+        "CnIntent", "cn_extent", "cn_intent", "compound_extent", "compound_intent",
+        "extent", "intent", "necessity", "possibility",
+    ),
+    "errors": (
+        "ContextFormatError", "FlavorMismatch", "GranuleDescError", "Inapplicable",
+        "SizeGuardExceeded",
+    ),
+    "formula": (
+        "Atom", "Block", "Conj", "ConjDisj", "Description", "Disj", "conj_disj",
+        "conj_of", "disj_of", "evaluate", "parse_description", "render",
+        "three_way_conj",
+    ),
+    "lattice": (
+        "Concept", "ConceptLattice", "System", "concept_join", "concept_leq",
+        "concept_meet", "enumerate_cn", "enumerate_formal",
+        "enumerate_object_oriented", "enumerate_three_way", "lattice_to_dot",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# the submodules reachable as attributes without an import of their own
+_SUBMODULES = frozenset({"_bits", *_EXPORTS})
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    home = _HOME.get(name, name)
+    if home not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{home}")  # the import binds the submodule here
+    if name != home:
+        globals()[name] = getattr(globals()[home], name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

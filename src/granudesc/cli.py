@@ -7,6 +7,9 @@ bounds), ``convert`` (complement / negation apposition), ``validate``
 
 Exit codes: 0 success or definable, 1 indefinable, 2 input or usage
 errors, 3 size-guard refusal, 4 inapplicable.
+
+Each subcommand imports the modules it runs, so a call loads only those:
+``validate`` and ``convert`` need nothing beyond parsing.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ import json
 import sys
 from collections.abc import Sequence
 
-from granudesc import approximation as approx_ops
-from granudesc import definability as defin
-from granudesc import lattice
 from granudesc.context import (
     CompoundContext,
     Flavor,
@@ -30,21 +30,13 @@ from granudesc.context import (
     serialize_compound,
     serialize_context,
 )
-from granudesc.definability import _RULES, Mode
 from granudesc.errors import GranuleDescError, Inapplicable, SizeGuardExceeded
-from granudesc.formula import Conj, ConjDisj, Description, Disj, render
 
 EXIT_OK = 0
 EXIT_INDEFINABLE = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_INAPPLICABLE = 4
-
-_VERDICT_EXIT = {
-    defin.Status.DEFINABLE: EXIT_OK,
-    defin.Status.INDEFINABLE: EXIT_INDEFINABLE,
-    defin.Status.INAPPLICABLE: EXIT_INAPPLICABLE,
-}
 
 
 class _CliError(Exception):
@@ -159,6 +151,8 @@ def _one_based(granule: frozenset[int]) -> list[int]:
 
 
 def _description_json(d: Description | None) -> dict | None:
+    from granudesc.formula import Conj, ConjDisj, Disj
+
     if d is None:
         return None
     conj: list[str] = []
@@ -182,6 +176,9 @@ def _description_json(d: Description | None) -> dict | None:
 
 
 def _cmd_concepts(args: argparse.Namespace) -> int:
+    from granudesc import lattice
+    from granudesc.definability import _RULES
+
     loaded = _load_any(args.input)
     variant = args.variant.replace("-", "_")
     fmt = _pick_format(args.format)
@@ -211,6 +208,8 @@ def _mode_context(
     args: argparse.Namespace,
 ) -> tuple[Mode, FormalContext | CompoundContext]:
     """The mode named by --mode and the context it reads."""
+    from granudesc.definability import _RULES, Mode
+
     loaded = _load_any(args.input)
     try:
         mode = Mode(args.mode.replace("-", "_"))
@@ -222,6 +221,9 @@ def _mode_context(
 
 
 def _cmd_define(args: argparse.Namespace) -> int:
+    from granudesc import definability as defin
+    from granudesc.formula import render
+
     mode, ctx = _mode_context(args)
     granule = _parse_granule(args.granule, ctx.objects)
     fmt = _pick_format(args.format)
@@ -249,10 +251,18 @@ def _cmd_define(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(payload, ensure_ascii=False) + "\n")
     else:
         sys.stdout.write("\n".join(lines) + "\n")
-    return _VERDICT_EXIT[verdict.status]
+    exit_code = {
+        defin.Status.DEFINABLE: EXIT_OK,
+        defin.Status.INDEFINABLE: EXIT_INDEFINABLE,
+        defin.Status.INAPPLICABLE: EXIT_INAPPLICABLE,
+    }
+    return exit_code[verdict.status]
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
+    from granudesc import approximation as approx_ops
+    from granudesc.formula import render
+
     mode, ctx = _mode_context(args)
     granule = _parse_granule(args.granule, ctx.objects)
     fmt = _pick_format(args.format)

@@ -1,12 +1,15 @@
-"""Every name a package module imports at module level is used there,
-every module-level private function or class is used somewhere, and no
-function calls itself.
+"""Every name a package module imports is used in the scope that imports
+it, every module-level private function or class is used somewhere, and
+no function calls itself.
 
 No linter runs on this package, so this test stands in for the unused
-import and dead code checks.  ``__init__.py`` is skipped for imports:
-its imports are its exports.  A function that calls itself puts its
-search on the interpreter stack, whose depth limit then caps the input
-size; a search keeps its nodes in a stack of its own instead.
+import and dead code checks.  An import inside a function body must be
+used in that function: the CLI imports in each subcommand what that
+subcommand runs.  ``__init__.py`` is checked like any module, as its
+exports come from its table of names and not from imports.  A function
+that calls itself puts its search on the interpreter stack, whose depth
+limit then caps the input size; a search keeps its nodes in a stack of
+its own instead.
 """
 
 from __future__ import annotations
@@ -18,26 +21,40 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "granudesc"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _imported_names(tree: ast.Module) -> dict[str, int]:
-    """Names bound by the module-level imports, with their line numbers."""
-    names: dict[str, int] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
+def _scope_imports(scope: ast.Module | ast.FunctionDef | ast.AsyncFunctionDef):
+    """The imports of a module or function body, not those of the
+    functions nested in it."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_imports(tree: ast.Module) -> set[tuple[str, int]]:
+    """Names an import binds that its scope never reads, with the import's
+    line: the module for a module-level import, the function (nested
+    functions included) for one in a function body."""
+    unused = set()
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        # an attribute chain starts at a Name, so Name nodes cover it too
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        for node in _scope_imports(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
             for alias in node.names:
-                names[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                names[alias.asname or alias.name] = node.lineno
-    return names
-
-
-def _used_names(tree: ast.Module) -> set[str]:
-    # an attribute chain starts at a Name, so Name nodes cover it too
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                name = alias.asname or alias.name
+                if isinstance(node, ast.Import):
+                    name = name.split(".")[0]
+                if name not in used:
+                    unused.add((name, node.lineno))
+    return unused
 
 
 def _referenced(tree: ast.AST) -> Counter[str]:
@@ -94,23 +111,31 @@ def _self_calling_defs(tree: ast.Module) -> set[str]:
 
 
 def test_the_package_has_modules_to_check() -> None:
-    assert len(MODULES) >= 5
+    assert len(ALL_MODULES) >= 6
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path: Path) -> None:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    used = _used_names(tree)
-    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
-    assert not unused, f"{path.name}: unused imports {unused}"
+    unused = _unused_imports(tree)
+    assert not unused, f"{path.name}: unused imports {sorted(unused)}"
 
 
 def test_an_unused_import_is_found() -> None:
     tree = ast.parse(
-        "from a import b, c\nimport d.e\nimport f as g\n\nprint(c, g)\n"
+        "from __future__ import annotations\n"
+        "from a import b, c\nimport d.e\nimport f as g\n\nprint(c, g)\n\n"
+        "def h():\n"
+        "    from i import j, k\n"
+        "    def inner():\n        return k\n"
+        "    return inner\n\n"
+        "def m():\n"
+        "    if c:\n        import n as p\n"
+        "    return j, b\n"
     )
-    used = _used_names(tree)
-    assert {n for n in _imported_names(tree) if n not in used} == {"b", "d"}
+    # j is read only in m, where it is another name; b only in m, which
+    # counts for the module's import
+    assert _unused_imports(tree) == {("d", 3), ("j", 9), ("p", 16)}
 
 
 def test_every_private_helper_is_referenced() -> None:
