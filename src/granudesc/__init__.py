@@ -7,10 +7,19 @@ conjunction and-ed with a disjunct over a second attribute block; it
 synthesizes the describing formula when one exists and computes the
 tightest definable bounds when none does.
 
-``import granudesc`` loads no submodule.  A public name, or a submodule
-named as an attribute, loads its module on first use and is kept here,
-so a later lookup is a plain attribute read.
+``import granudesc`` runs no submodule.  It puts each one in
+``sys.modules`` and here as it would be after an eager import, but
+unrun: a submodule runs on the first read of any of its attributes,
+however it is reached (``granudesc.lattice``, ``import``, ``vars``), and
+then binds its public names here, so a public name is a plain attribute
+read from then on.  Code that looks the submodules up in ``sys.modules``
+after ``import granudesc`` finds them there, as before.
 """
+
+import sys
+from importlib.util import find_spec, module_from_spec
+from threading import RLock
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -53,21 +62,50 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-# the submodules reachable as attributes without an import of their own
-_SUBMODULES = frozenset({"_bits", *_EXPORTS})
 
 __all__ = sorted(_HOME)
 
+_run_lock = RLock()  # one submodule runs at a time, as under the import lock
+_running: set[str] = set()
+
+
+class _Unrun(ModuleType):
+    """A submodule that runs on the first read of one of its attributes.
+
+    Another thread waits until the run is over; a read from within the
+    run (a circular import) sees the module as it fills, as an import
+    would.
+    """
+
+    def __getattribute__(self, attr: str) -> object:
+        get = super().__getattribute__
+        with _run_lock:
+            name = get("__name__")
+            if type(self) is _Unrun and name not in _running:
+                _running.add(name)
+                try:
+                    get("__spec__").loader.exec_module(self)
+                finally:
+                    _running.discard(name)
+                self.__class__ = ModuleType
+                names = _EXPORTS.get(name.rpartition(".")[2], ())
+                globals().update({n: get("__dict__")[n] for n in names})
+        return get(attr)
+
+
+for _name in ("_bits", *_EXPORTS):
+    _spec = find_spec(f"{__name__}.{_name}")
+    _module = module_from_spec(_spec)
+    _module.__class__ = _Unrun
+    sys.modules[_spec.name] = globals()[_name] = _module
+del _name, _spec, _module
+
 
 def __getattr__(name: str) -> object:
-    home = _HOME.get(name, name)
-    if home not in _SUBMODULES:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    __import__(f"{__name__}.{home}")  # the import binds the submodule here
-    if name != home:
-        globals()[name] = getattr(globals()[home], name)
-    return globals()[name]
+    return getattr(globals()[_HOME[name]], name)  # the run binds it here
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__all__})

@@ -83,33 +83,12 @@ def minimal_transversals(pool: Sequence[int], target: int) -> list[int]:
     if not target:
         return [1 << i for i in range(len(pool))]
     w = target.bit_length()
-    tagged = [c & target | 1 << w + i for i, c in enumerate(pool)]
-    found = [u >> w for u in _covering_unions(tagged, _representatives(pool, target))]
-    return sorted(_minimal_antichain(found), key=lambda m: (m.bit_count(), tuple(bits(m))))
-
-
-def _representatives(pool: Sequence[int], target: int) -> int:
-    """The lowest object of each block of target objects that every
-    candidate holds all or none of.
-
-    Objects of one block are covered by the same unions, so a search for
-    the target need cover only these.  The candidates split the target
-    one after another.  A block of one object cannot split again, so it
-    leaves the list: on a table whose columns each hold one object of
-    the target, each candidate scans only the one block still open.
-    """
-    reps = 0
     blocks = [target]
     for c in pool:
-        still_open = []
-        for b in blocks:
-            for p in (b & c, b & ~c):
-                if p & (p - 1):
-                    still_open.append(p)
-                elif p:
-                    reps |= p
-        blocks = still_open
-    return reps | sum(b & -b for b in blocks)
+        blocks = [p for b in blocks for p in (b & c, b & ~c) if p]
+    tagged = [c & target | 1 << w + i for i, c in enumerate(pool)]
+    found = [u >> w for u in _covering_unions(tagged, sum(b & -b for b in blocks))]
+    return sorted(_minimal_antichain(found), key=lambda m: (m.bit_count(), tuple(bits(m))))
 
 
 def _covering_unions(pool: list[int], target: int) -> set[int]:

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from granudesc.context import (
     CompoundContext,
@@ -31,6 +32,10 @@ from granudesc.context import (
     serialize_context,
 )
 from granudesc.errors import GranuleDescError, Inapplicable, SizeGuardExceeded
+
+if TYPE_CHECKING:  # names of annotations only; each handler imports what it runs
+    from granudesc.definability import Mode
+    from granudesc.formula import Description
 
 EXIT_OK = 0
 EXIT_INDEFINABLE = 1

@@ -313,30 +313,6 @@ def covering_unions_lists(pool: list[int], target: int) -> list[int]:
     return found
 
 
-def block_representatives(pool: Sequence[int], target: int) -> int:
-    """The lowest object of each block of the target refined by every
-    candidate in turn (split into the part inside and the part outside).
-
-    The kernel's reduction before blocks of one object left its list of
-    blocks: every candidate scans every block found so far.
-    """
-    blocks = [target]
-    for c in pool:
-        blocks = [p for b in blocks for p in (b & c, b & ~c) if p]
-    return sum(b & -b for b in blocks)
-
-
-def transversals_by_blocks(pool: Sequence[int], target: int) -> list[int]:
-    """Minimal transversals as the kernel found them before: the target
-    reduced by ``block_representatives``, covered by the list search."""
-    if not target:
-        return [1 << i for i in range(len(pool))]
-    w = target.bit_length()
-    tagged = [c & target | 1 << w + i for i, c in enumerate(pool)]
-    found = [u >> w for u in covering_unions_lists(tagged, block_representatives(pool, target))]
-    return sorted(minimal_masks(found), key=lambda m: (m.bit_count(), tuple(bits(m))))
-
-
 def covering_unions_recursive(pool: list[int], target: int) -> set[int]:
     """All candidate unions containing target that no branch can shrink,
     each once (the one union 0 for the empty target).

@@ -330,25 +330,6 @@ def test_transversals_match_brute_force(
         assert got == [1 << i for i in range(n_cand)]
 
 
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_obj=st.integers(0, 16),
-    n_cand=st.integers(0, 10),
-    density=st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8]),
-    union_target=st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_transversal_reduction_matches_block_refinement(
-    seed: int, n_obj: int, n_cand: int, density: float, union_target: bool
-) -> None:
-    # setting blocks of one object aside leaves the refinement unchanged;
-    # sizes 0 and density 0 give the empty target and empty candidates
-    cands, target = _cover_problem(random.Random(seed), n_obj, n_cand, density, union_target)
-    assert _kernel._representatives(cands, target) == oracles.block_representatives(cands, target)
-    want = oracles.transversals_by_blocks(cands, target)
-    assert _kernel.minimal_transversals(cands, target) == want
-
-
 def _garbage_after(call) -> int:
     """Unreachable objects the cyclic collector finds after one call,
     with the collector off meanwhile."""

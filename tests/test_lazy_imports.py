@@ -1,9 +1,11 @@
-"""The package loads its modules on first use.
+"""The package runs its modules on first use.
 
-``import granudesc`` loads no submodule; a public name loads the module
-that defines it, and each CLI subcommand loads only the modules it runs.
-The loading is checked in fresh interpreters, since the test session has
-long since imported everything.
+``import granudesc`` puts every submodule in ``sys.modules`` unrun; the
+first read of a submodule's attribute runs it and binds its public
+names in the package, and each CLI subcommand runs only the modules it
+needs.  A run module is a plain ``ModuleType``; an unrun one is of a
+subclass.  The loading is checked in fresh interpreters, since the test
+session has long since run everything.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def _fresh(code: str, *args: str) -> object:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     return json.loads(proc.stdout)
 
@@ -96,17 +99,64 @@ def test_an_unknown_name_raises_attribute_error() -> None:
     assert not hasattr(granudesc, "no_such_name")
 
 
-def test_a_bare_import_loads_no_submodule_and_reaches_each() -> None:
+def test_a_bare_import_registers_each_submodule_unrun() -> None:
+    code = (
+        "import json, sys, types\n"
+        "import granudesc\n"
+        "names = sorted(m[10:] for m in sys.modules if m.startswith('granudesc.'))\n"
+        "same = [getattr(granudesc, m) is sys.modules['granudesc.' + m] for m in names]\n"
+        "run = [m for m in names if type(sys.modules['granudesc.' + m]) is types.ModuleType]\n"
+        "print(json.dumps([names, same, run]))\n"
+    )
+    names, same, run = _fresh(code)
+    assert names == sorted(SUBMODULES)
+    assert same == [True] * len(SUBMODULES)
+    assert run == []
+
+
+def test_a_run_binds_the_names_that_a_patch_of_all_modules_restores() -> None:
+    # what a tracer does: run every submodule through sys.modules, replace a
+    # function in every granudesc module that holds it, then put it back;
+    # a package name first read meanwhile must not keep the replacement
     code = (
         "import json, sys\n"
         "import granudesc\n"
-        "before = sorted(m for m in sys.modules if m.startswith('granudesc.'))\n"
-        "same = [getattr(granudesc, m) is sys.modules['granudesc.' + m] for m in sys.argv[1:]]\n"
-        "print(json.dumps([before, same]))\n"
+        "for name in list(sys.modules):\n"
+        "    if name.startswith('granudesc.'):\n"
+        "        vars(sys.modules[name])\n"
+        "original = sys.modules['granudesc.formula'].render\n"
+        "def wrapper(*args):\n"
+        "    return original(*args)\n"
+        "patched = [m for name, m in sys.modules.items()\n"
+        "           if name.split('.')[0] == 'granudesc' and vars(m).get('render') is original]\n"
+        "for m in patched:\n"
+        "    m.render = wrapper\n"
+        "during = granudesc.render is wrapper\n"
+        "for m in patched:\n"
+        "    m.render = original\n"
+        "print(json.dumps([during, granudesc.render is original]))\n"
     )
-    before, same = _fresh(code, *SUBMODULES)
-    assert before == []
-    assert same == [True] * len(SUBMODULES)
+    assert _fresh(code) == [True, True]
+
+
+def test_threads_reading_an_unrun_module_wait_for_its_run() -> None:
+    code = (
+        "import json, sys, threading\n"
+        "import granudesc\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "start = threading.Barrier(8)\n"
+        "got = []\n"
+        "def read():\n"
+        "    start.wait()\n"
+        "    got.append(granudesc.lattice.enumerate_formal is granudesc.enumerate_formal)\n"
+        "threads = [threading.Thread(target=read) for _ in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join()\n"
+        "print(json.dumps(got))\n"
+    )
+    assert _fresh(code) == [True] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +184,13 @@ _SUBCOMMANDS = {
 def test_a_subcommand_loads_only_what_it_runs(command: str) -> None:
     argv, want = _SUBCOMMANDS[command]
     code = (
-        "import contextlib, io, json, os, sys\n"
+        "import contextlib, io, json, os, sys, types\n"
         "from granudesc.cli import main\n"
         "os.chdir(sys.argv[1])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = main(sys.argv[2:])\n"
-        "loaded = sorted(m[10:] for m in sys.modules if m.startswith('granudesc.'))\n"
+        "loaded = sorted(m[10:] for m, mod in sys.modules.items()\n"
+        "                if m.startswith('granudesc.') and type(mod) is types.ModuleType)\n"
         "print(json.dumps([status, loaded]))\n"
     )
     status, loaded = _fresh(code, str(DATA), *argv)

@@ -124,7 +124,7 @@ def test_module_uses_every_import(path: Path) -> None:
 def test_an_unused_import_is_found() -> None:
     tree = ast.parse(
         "from __future__ import annotations\n"
-        "from a import b, c\nimport d.e\nimport f as g\n\nprint(c, g)\n\n"
+        "from a import b, c\nimport d.e\nimport f as g\nfrom q import r\n\nprint(c, g)\n\n"
         "def h():\n"
         "    from i import j, k\n"
         "    def inner():\n        return k\n"
@@ -134,8 +134,8 @@ def test_an_unused_import_is_found() -> None:
         "    return j, b\n"
     )
     # j is read only in m, where it is another name; b only in m, which
-    # counts for the module's import
-    assert _unused_imports(tree) == {("d", 3), ("j", 9), ("p", 16)}
+    # counts for the module's import; r is read nowhere
+    assert _unused_imports(tree) == {("d", 3), ("r", 5), ("j", 10), ("p", 17)}
 
 
 def test_every_private_helper_is_referenced() -> None:
