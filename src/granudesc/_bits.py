@@ -25,38 +25,43 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# _byte_table()[k][v]: the set bit positions of byte value v at byte k
+class _Unbuilt:
+    """Stands for row k of the table of ``bit_tuple`` until its first read,
+    which builds the row whole and puts it in the table by one item
+    assignment, so a thread reads either this stand-in or all of the row."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    def __getitem__(self, value: int) -> tuple[int, ...]:
+        row: list[tuple[int, ...]] = [()]
+        for i in range(8 * self.k, 8 * self.k + 8):
+            row += [t + (i,) for t in row]  # the values with bit i set follow
+        _BYTE_ROWS[self.k] = built = tuple(row)
+        return built[value]
+
+
+# _BYTE_ROWS[k][v]: the set bit positions of byte value v at byte k
 _TABLE_BYTES = 8
 _TABLE_MASK = (1 << 8 * _TABLE_BYTES) - 1
-_BYTE_BITS: tuple[tuple[tuple[int, ...], ...], ...] = ()
-
-
-def _byte_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The per-byte table of ``bit_tuple``, built whole on first use and
-    assigned once, so a thread reads either no table or all of it."""
-    global _BYTE_BITS
-    if not _BYTE_BITS:
-        table = []
-        for k in range(0, 8 * _TABLE_BYTES, 8):
-            row: list[tuple[int, ...]] = [()]
-            for i in range(k, k + 8):
-                row += [t + (i,) for t in row]  # the values with bit i set follow
-            table.append(tuple(row))
-        _BYTE_BITS = tuple(table)
-    return _BYTE_BITS
+_BYTE_ROWS: list[tuple[tuple[int, ...], ...] | _Unbuilt] = [
+    _Unbuilt(k) for k in range(_TABLE_BYTES)
+]
 
 
 def bit_tuple(mask: int) -> tuple[int, ...]:
     """The set bit positions in ascending order, as ``tuple(bits(mask))``.
 
-    The low ``_TABLE_BYTES`` bytes are read a byte at a time from a fixed
-    table of 8 x 256 entries, so its memory stays bounded however wide
-    the mask; any higher bits go through ``bits``.  Cheaper than ``bits``
-    for a whole tuple; ``bits`` stays the reader for loops.
+    The low ``_TABLE_BYTES`` bytes are read a byte at a time from a table
+    of 256 entries per byte, each row built when a mask first reaches its
+    byte, so a mask of at most 8 bits builds one row and the table's
+    memory stays bounded however wide the mask; any higher bits go
+    through ``bits``.  Cheaper than ``bits`` for a whole tuple; ``bits``
+    stays the reader for loops.
     """
     out: tuple[int, ...] = ()
     low = mask & _TABLE_MASK
-    for row in _BYTE_BITS or _byte_table():
+    for row in _BYTE_ROWS:
         if not low:
             break
         out += row[low & 255]

@@ -32,7 +32,11 @@ def formal_concepts(cols: Sequence[int], n_objects: int) -> list[tuple[int, int]
     for c in cols:
         exts |= {e & c for e in exts}
     order = sorted(exts, key=lambda e: concept_key(e, n_objects), reverse=True)
-    return [(e, sum(1 << j for j, c in enumerate(cols) if e & c == e)) for e in order]
+    intents = [0] * len(order)
+    for j, c in enumerate(cols):
+        bit = 1 << j
+        intents = [a | bit if e & c == e else a for e, a in zip(order, intents)]
+    return list(zip(order, intents))
 
 
 def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False) -> list[int]:
@@ -98,15 +102,18 @@ def _covering_unions(pool: list[int], target: int) -> set[int]:
     Sets of candidates are masks over pool indices: ``by_obj[o]`` holds
     the indices of the candidates covering target object ``o`` (keyed by
     the object's bit), and a node's ``avail`` the indices it may still
-    add.  The search branches on the uncovered object with the fewest
-    available covers, and a branch sets aside only the covers of that
-    object tried before it.  An uncovered object whose covers all lay
-    among those would have had fewer covers, so no object loses its last
-    cover; an object with none ends its node at once.  A branch's union
-    is tested where it is made: one that covers the target is a leaf and
-    goes into the set, and only a node that still branches becomes a
-    ``(union, avail)`` frame on the stack.  The nodes are frames, not
-    calls, so no depth limit caps the number of candidates.
+    add.  The search branches on the first uncovered object with at
+    most one available cover, or else on the first with the fewest, and
+    a branch sets aside only the covers of that object tried before it.
+    An uncovered object whose covers all lay among those would have had
+    fewer covers, so no object loses its last cover.  An object with
+    none ends its node, or the chain of one-cover branches the node
+    starts when the scan stops short of it, since no branch can cover
+    it.  A branch's union is tested where it is made: one that covers
+    the target is a leaf and goes into the set, and only a node that
+    still branches becomes a ``(union, avail)`` frame on the stack.  The
+    nodes are frames, not calls, so no depth limit caps the number of
+    candidates.
     """
     if not target:
         return {0}
@@ -129,7 +136,7 @@ def _covering_unions(pool: list[int], target: int) -> set[int]:
             n = covers.bit_count()
             if n < fewest:
                 fewest, best = n, covers
-                if not n:
+                if n < 2:
                     break
             rem ^= low
         rest = avail & ~best

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from granudesc import _kernel
-from granudesc._bits import bits, member_vector, set_of
+from granudesc._bits import bits, set_of
 from granudesc.context import (
     AttributeSet,
     CompoundContext,
@@ -170,6 +170,24 @@ def _cn_premise(cctx: CompoundContext, x: int) -> tuple[int, bool]:
     return _intent(cctx.a_block, x), x & ~coverable == 0
 
 
+def _cn_b_choice(b_block: FormalContext, unions: Iterable[int], empty: int) -> int:
+    """The canonical b-part from covers of a granule that add equally few
+    objects inside its a-extent: the least union by size, then by
+    ``member_vector``, and every b-attribute whose non-empty extent lies
+    inside it.  ``empty`` is ``_necessity(b_block, 0)``, the empty
+    b-columns, computed once by the caller.
+
+    Of two unions of one size, the lesser ``member_vector`` lacks the
+    lowest object where they differ, so the order is read on the masks.
+    """
+    best, size = 0, b_block.n_objects + 1
+    for y in unions:
+        k = y.bit_count()
+        if k < size or k == size and not y & (d := best ^ y) & -d:
+            best, size = y, k
+    return _necessity(b_block, best) & ~empty
+
+
 def _cn_b_part(cctx: CompoundContext, x: int, a_part: int) -> int:
     """The b-part of the canonical two-part intent of a covered granule.
 
@@ -183,16 +201,14 @@ def _cn_b_part(cctx: CompoundContext, x: int, a_part: int) -> int:
     the search runs on all b-extents.
     """
     g = _extent(cctx.a_block, a_part)
-    b_cols = cctx.b_block.column_masks
+    b_block = cctx.b_block
+    b_cols = b_block.column_masks
     outside = g & ~x
     pool = [c for c in b_cols if not c & outside]
     unions = _kernel.minimal_cover_unions(pool, x) or _kernel.minimal_cover_unions(b_cols, x)
-    n = cctx.n_objects
-    best = min(
-        unions, key=lambda y: ((g & y).bit_count(), y.bit_count(), member_vector(y, n))
-    )
-    # every b-attribute whose non-empty extent lies inside the union
-    return _necessity(cctx.b_block, best) & ~_necessity(cctx.b_block, 0)
+    inside = min((g & y).bit_count() for y in unions)
+    least = [y for y in unions if (g & y).bit_count() == inside]
+    return _cn_b_choice(b_block, least, _necessity(b_block, 0))
 
 
 def cn_intent(cctx: CompoundContext, objects: Iterable[int]) -> CnIntent:

@@ -15,13 +15,13 @@ from enum import Enum
 from collections.abc import Sequence
 
 from granudesc import _kernel
-from granudesc._bits import concept_key, set_of
+from granudesc._bits import bit_tuple, concept_key
 from granudesc.context import CompoundContext, Flavor, FormalContext
 from granudesc.definability import _RULES, Mode
 from granudesc.derivation import (
     CnIntent,
-    _cn_b_part,
-    _intent,
+    _cn_b_choice,
+    _necessity,
     _require_flavor,
     extent,
     intent,
@@ -65,6 +65,9 @@ class Concept:
 
     The sorted extent and the object and intent names are computed once,
     on first use, and shared by the sort key and the three renderers.
+    The listings seed the sorted extent in the instance dict, as ``_once``
+    would store it, from the same read of the extent's bits that builds
+    ``extent``.
     """
 
     extent: frozenset[int]
@@ -111,6 +114,20 @@ class ConceptLattice:
     @property
     def bottom(self) -> Concept:
         return self.concepts[-1]
+
+
+def _concept(
+    ext: int,
+    intent: frozenset[int] | CnIntent,
+    system: System,
+    ctx: FormalContext | CompoundContext,
+) -> Concept:
+    """The concept of an extent mask, its extent set and sorted extent
+    both taken from one read of the mask's bits."""
+    t = bit_tuple(ext)
+    c = Concept(frozenset(t), intent, system, ctx)
+    c.__dict__["_sorted_extent"] = t  # what _once would store on first use
+    return c
 
 
 def _guard(what: str, count: int, unit: str, limit: int, force: bool) -> None:
@@ -164,7 +181,7 @@ def _lattice(
     _guard("enumeration", len(cols), "attributes", MAX_ENUMERATION_ATTRIBUTES, force)
     pairs = _kernel.formal_concepts(cols, t.n_objects)
     system = System(rule.family)
-    concepts = [Concept(set_of(flip ^ e), set_of(a), system, ctx) for e, a in pairs]
+    concepts = [_concept(flip ^ e, frozenset(bit_tuple(a)), system, ctx) for e, a in pairs]
     edges = _lower_neighbours(pairs, cols)
     if flip:
         last = len(pairs) - 1
@@ -190,34 +207,52 @@ def enumerate_three_way(cctx: CompoundContext, force: bool = False) -> ConceptLa
 
 
 def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
-    """All fixed points of the two-part derivation pair.
+    """All fixed points of the two-part derivation pair, with their
+    canonical intents, from one sweep of b-unions per a-extent.
 
-    The fixed points are the non-empty unions of b-extents cut down to an
-    a-block concept extent g, the traces ``col & g``.  A union of the
-    traces of g closes to a smaller extent g' at most, and its traces are
-    traces of g' as well, so every union built is a fixed point; a set
-    removes those reached from more than one g.  Each fixed point, a
-    non-empty union of non-empty traces, is covered by the b-extents, so
-    its intent (the one ``cn_intent`` gives) is derived on masks without
-    the checks of the public call.  No order structure is claimed for
-    this family.
+    A fixed point's a-part is the intent of an a-block concept extent g,
+    and its b-part names a union y of b-extents, so its extent is the
+    objects in both, ``x = y & g``.  For each g the sweep builds the set
+    of unions of the b-columns that meet g and reads off every non-empty
+    x.  Such an x is a union of traces of g, a fixed point whose
+    a-closure lies inside g; it is listed from g only when its a-intent
+    is g's, so each comes once, from its own closure.  The unions with
+    ``y & g == x`` are the covers of x by the b-extents whose trace on g
+    lies inside x (extents missing g only make a cover larger).  The
+    smallest is inclusion-minimal, so the least by size and then
+    ``member_vector`` is the union the cover search of ``cn_intent``
+    keeps, and the b-part is read from it without a search.  No order
+    structure is claimed for this family.
     """
     _require_flavor(cctx, Flavor.COMMON_NECESSARY, "enumerate_cn")
     n = cctx.n_objects
     _guard("cn enumeration", n, "objects", MAX_CN_OBJECTS, force)
-    b_cols = cctx.b_block.column_masks
-    found: set[int] = set()
-    for g, _ in _kernel.formal_concepts(cctx.a_block.column_masks, n):
+    a_block, b_block = cctx.a_block, cctx.b_block
+    a_cols, b_cols = a_block.column_masks, b_block.column_masks
+    empty = _necessity(b_block, 0)
+    found: dict[int, tuple[int, int]] = {}  # extent -> (a-part, b-part)
+    for g, att in _kernel.formal_concepts(a_cols, n):
         unions = {0}
-        for t in {col & g for col in b_cols} - {0}:
-            unions |= {u | t for u in unions}
-        found |= unions
-    found.discard(0)
+        for col in b_cols:
+            if col & g:
+                unions |= {u | col for u in unions}
+        covers: dict[int, list[int]] = {}
+        for y in unions:
+            covers.setdefault(y & g, []).append(y)
+        del covers[0]
+        # x has g's a-intent when no a-column outside that intent holds it
+        outside = [c for j, c in enumerate(a_cols) if not att >> j & 1]
+        for x, ys in covers.items():
+            for c in outside:
+                if x & ~c == 0:
+                    break
+            else:
+                found[x] = att, _cn_b_choice(b_block, ys, empty)
     concepts = []
     for x in sorted(found, key=lambda m: concept_key(m, n), reverse=True):
-        a_part = _intent(cctx.a_block, x)
-        e = CnIntent(set_of(a_part), set_of(_cn_b_part(cctx, x, a_part)))
-        concepts.append(Concept(set_of(x), e, System.COMMON_NECESSARY, cctx))
+        a, b = found[x]
+        e = CnIntent(frozenset(bit_tuple(a)), frozenset(bit_tuple(b)))
+        concepts.append(_concept(x, e, System.COMMON_NECESSARY, cctx))
     return concepts
 
 

@@ -12,7 +12,8 @@ the target), ``lower_by_complement_cover`` and ``upper_vee_by_cover``
 (the conjunctive lower bounds and the disjunctive upper bounds, each in
 its own routine, as they were before one routine served both),
 ``cn_b_part_full_pool`` (the canonical cn b-part searched over every
-b-extent), ``vee_verdict_via_complement`` (disjunctive
+b-extent), ``enumerate_cn_per_point`` (the cn listing with one cover
+search per fixed point), ``vee_verdict_via_complement`` (disjunctive
 definability decided on the complemented table),
 ``minimal_subsets_scan`` and ``cn_minimal_scan`` (minimal descriptions
 found by trying every subset of the search base; ``minimal_descriptions_scan``
@@ -34,6 +35,7 @@ from granudesc import (
     Approximation,
     Atom,
     Block,
+    CnIntent,
     CompoundContext,
     Conj,
     ConjDisj,
@@ -54,7 +56,10 @@ from granudesc import (
     evaluate,
     three_way_conj,
 )
-from granudesc._bits import bits, mask_of, member_vector
+from granudesc import _kernel
+from granudesc._bits import bits, concept_key, mask_of, member_vector, set_of
+from granudesc.derivation import _cn_b_part, _intent
+from granudesc.lattice import Concept, System
 
 
 def column_extents(
@@ -474,6 +479,32 @@ def cn_b_part_full_pool(cctx: CompoundContext, x: int, a_part: int) -> int:
         key=lambda y: ((g & y).bit_count(), y.bit_count(), member_vector(y, n)),
     )
     return sum(1 << j for j, c in enumerate(b_cols) if c and c & ~best == 0)
+
+
+def enumerate_cn_per_point(cctx: CompoundContext) -> list[Concept]:
+    """The cn listing with one cover search per fixed point, as
+    ``enumerate_cn`` ran before its one sweep of b-unions per a-extent.
+
+    The fixed points are the non-empty unions of the traces ``col & g``
+    over the a-extents g, deduplicated; each gets its a-part from the
+    a-block and its b-part from ``_cn_b_part``, the cover search of
+    ``cn_intent``.  Listed in concept order.
+    """
+    n = cctx.n_objects
+    b_cols = cctx.b_block.column_masks
+    found: set[int] = set()
+    for g, _ in _kernel.formal_concepts(cctx.a_block.column_masks, n):
+        unions = {0}
+        for t in {col & g for col in b_cols} - {0}:
+            unions |= {u | t for u in unions}
+        found |= unions
+    found.discard(0)
+    concepts = []
+    for x in sorted(found, key=lambda m: concept_key(m, n), reverse=True):
+        a_part = _intent(cctx.a_block, x)
+        e = CnIntent(set_of(a_part), set_of(_cn_b_part(cctx, x, a_part)))
+        concepts.append(Concept(set_of(x), e, System.COMMON_NECESSARY, cctx))
+    return concepts
 
 
 def minimal_subsets_scan(base: list[int], keeps: Callable[[int], bool]) -> list[int]:

@@ -22,7 +22,8 @@ from granudesc import (
     necessity,
     possibility,
 )
-from granudesc._bits import mask_of, set_of
+from granudesc._bits import mask_of, member_vector, set_of
+from granudesc.derivation import _cn_b_choice
 
 from . import oracles
 from .conftest import attrs, obj_names, objs, random_cn_context, random_context
@@ -314,6 +315,21 @@ def test_cn_b_part_matches_full_pool_rule() -> None:
 
     check()
     assert paths["restricted"] and paths["fallback"], paths
+
+
+@given(st.lists(st.integers(1, 2**9 - 1), min_size=1, max_size=12, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_cn_b_choice_takes_the_least_union_by_size_then_member_vector(
+    unions: list[int],
+) -> None:
+    # one b-column per object, so the b-part names the chosen union itself
+    ident = FormalContext(
+        tuple(str(i) for i in range(9)),
+        tuple(f"b{j}" for j in range(9)),
+        tuple(tuple(i == j for j in range(9)) for i in range(9)),
+    )
+    want = min(unions, key=lambda y: (y.bit_count(), member_vector(y, 9)))
+    assert _cn_b_choice(ident, unions, 0) == want
 
 
 def test_cn_b_part_falls_back_to_every_b_extent() -> None:

@@ -44,24 +44,57 @@ def test_bit_tuple_reads_like_bits(mask: int) -> None:
     assert list(bit_tuple(mask)) == list(bits(mask))
 
 
+def _whole_byte_table() -> list[tuple[tuple[int, ...], ...]]:
+    """The reader's table built whole, all 8 rows at once, as it was
+    before each row was built on first use."""
+    table = []
+    for k in range(0, 64, 8):
+        row: list[tuple[int, ...]] = [()]
+        for i in range(k, k + 8):
+            row += [t + (i,) for t in row]
+        table.append(tuple(row))
+    return table
+
+
 def test_bit_table_stays_within_its_bound() -> None:
-    table = _bits._byte_table()
     for width in (8, 64, 65, 200, 1000):
         bit_tuple((1 << width) - 1)
-    # one table, built whole: 8 bytes of 256 entries, wider bits read by bits()
-    assert _bits._byte_table() is table
-    assert len(table) == _bits._TABLE_BYTES == 8
-    assert all(len(row) == 256 for row in table)
-    assert table[7][0x80] == (63,)
+    # one row per byte, 8 bytes of 256 entries, wider bits read by bits()
+    rows = _bits._BYTE_ROWS
+    assert len(rows) == _bits._TABLE_BYTES == 8
+    assert rows == _whole_byte_table()
+    assert rows[7][0x80] == (63,)
 
 
-def test_bit_table_built_under_threads_reads_alike() -> None:
-    # threads racing to build the table each see a whole one; 8 threads on
-    # fewer cores, switching often
+def _unbuilt_rows() -> list[_bits._Unbuilt]:
+    return [_bits._Unbuilt(k) for k in range(_bits._TABLE_BYTES)]
+
+
+def _built(rows: list) -> list[int]:
+    return [k for k, row in enumerate(rows) if isinstance(row, tuple)]
+
+
+def test_bit_table_rows_are_built_on_first_use(monkeypatch) -> None:
+    monkeypatch.setattr(_bits, "_BYTE_ROWS", _unbuilt_rows())
+    rows = _bits._BYTE_ROWS
+    assert bit_tuple(0) == ()
+    assert _built(rows) == []
+    assert bit_tuple(0b1011) == (0, 1, 3)  # a mask of at most 8 objects: one row
+    assert _built(rows) == [0]
+    # bytes 1 and 2 are read up to bit 20; bit 70 lies above the table
+    assert bit_tuple(1 << 20 | 1 << 70) == (20, 70)
+    assert _built(rows) == [0, 1, 2]
+    bit_tuple((1 << 64) - 1)
+    assert rows == _whole_byte_table()
+
+
+def test_bit_table_built_under_threads_reads_alike(monkeypatch) -> None:
+    # threads racing to build the rows each see no row or a whole one; 8
+    # threads on fewer cores, switching often
     masks = [random.Random(i).getrandbits(80) for i in range(400)]
     wrong: list[int] = []
-    saved, interval = _bits._BYTE_BITS, sys.getswitchinterval()
-    _bits._BYTE_BITS = ()
+    monkeypatch.setattr(_bits, "_BYTE_ROWS", _unbuilt_rows())
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         def read() -> None:
@@ -74,10 +107,9 @@ def test_bit_table_built_under_threads_reads_alike() -> None:
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        assert len(_bits._byte_table()) == _bits._TABLE_BYTES
+        assert _bits._BYTE_ROWS == _whole_byte_table()
     finally:
         sys.setswitchinterval(interval)
-        _bits._BYTE_BITS = saved
 
 
 # ---------------------------------------------------------------------------

@@ -237,15 +237,18 @@ def test_cn_family_members_are_fixed_points(table5) -> None:
     seed=st.integers(0, 2**32 - 1),
     n_obj=st.integers(1, 5),
     n_a=st.integers(1, 4),
-    n_b=st.integers(1, 4),
+    n_b=st.integers(1, 10),
     density=st.sampled_from([0.2, 0.5, 0.8]),
 )
 @settings(max_examples=80, deadline=None)
 def test_cn_enumeration_matches_bruteforce(
     seed: int, n_obj: int, n_a: int, n_b: int, density: float
 ) -> None:
+    # up to 10 b-columns on 5 objects: repeated traces, empty b-columns and
+    # fixed points reached from several a-extents
     cctx = random_cn_context(random.Random(seed), n_obj, n_a, n_b, density)
     family = enumerate_cn(cctx)
+    assert repr(family) == repr(oracles.enumerate_cn_per_point(cctx))
     for c in family:  # the mask-level listing agrees with the public call
         assert c.intent == cn_intent(cctx, c.extent)
         assert not c.intent.no_b_cover
@@ -261,6 +264,34 @@ def test_cn_enumeration_matches_bruteforce(
         oracles.column_extents(cctx.b_incidence),
         n_obj,
     )
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(14, 6, 40, 0.5, False), (20, 4, 40, 0.2, True)],
+    ids=["14x(6+40)", "20x(4+40)-forced"],
+)
+def test_cn_enumeration_on_wide_b_blocks(shape) -> None:
+    n_obj, n_a, n_b, density, force = shape
+    cctx = random_cn_context(random.Random(n_obj * n_b), n_obj, n_a, n_b, density)
+    family = enumerate_cn(cctx, force=force)
+    want = oracles.enumerate_cn_per_point(cctx)
+    assert family and family == want
+    # the reprs without the context's, which would repeat it per concept
+    assert repr([(c.extent, c.intent, c.system) for c in family]) == repr(
+        [(c.extent, c.intent, c.system) for c in want]
+    )
+
+
+def test_cn_enumeration_runs_no_cover_search(table5, monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_cn ran a cover search")
+
+    want = repr(enumerate_cn(table5))
+    monkeypatch.setattr(_kernel, "minimal_cover_unions", refuse)
+    assert repr(enumerate_cn(table5)) == want
+    with pytest.raises(AssertionError, match="cover search"):
+        cn_intent(table5, enumerate_cn(table5)[0].extent)
 
 
 def test_cn_rejects_three_way_flavor(table3) -> None:
