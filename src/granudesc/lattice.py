@@ -63,11 +63,11 @@ class _once:
 class Concept:
     """An (extent, intent) pair tied to the context it was computed over.
 
-    The sorted extent and the object and intent names are computed once,
-    on first use, and shared by the sort key and the three renderers.
-    The listings seed the sorted extent in the instance dict, as ``_once``
-    would store it, from the same read of the extent's bits that builds
-    ``extent``.
+    The sorted extent and intent and the object and intent names are
+    computed once, on first use, and shared by the sort key and the three
+    renderers.  The listings seed the sorted extent and intent in the
+    instance dict, as ``_once`` would store them, from the same reads of
+    the masks' bits that build ``extent`` and ``intent``.
     """
 
     extent: frozenset[int]
@@ -88,15 +88,20 @@ class Concept:
         return [names[i] for i in self._sorted_extent]
 
     @_once
-    def _intent_names(self) -> list[str]:
-        ctx, idx = self.context, self.intent
-        if isinstance(ctx, FormalContext):
-            return [ctx.attributes[j] for j in sorted(idx)]
+    def _sorted_intent(self) -> tuple[int, ...]:
+        idx = self.intent
         if isinstance(idx, CnIntent):  # b-part indices follow the a-block when flattened
-            n = len(ctx.a_attributes)
-            idx = idx.a_part | {n + j for j in idx.b_part}
-        flat = ctx.a_attributes + ctx.b_attributes
-        return [flat[j] for j in sorted(idx)]
+            idx = idx.a_part | {len(self.context.a_attributes) + j for j in idx.b_part}
+        return tuple(sorted(idx))
+
+    @_once
+    def _intent_names(self) -> list[str]:
+        ctx = self.context
+        if isinstance(ctx, FormalContext):
+            names = ctx.attributes
+        else:
+            names = ctx.a_attributes + ctx.b_attributes
+        return [names[j] for j in self._sorted_intent]
 
 
 @dataclass(frozen=True)
@@ -118,15 +123,18 @@ class ConceptLattice:
 
 def _concept(
     ext: int,
-    intent: frozenset[int] | CnIntent,
+    att: int,
     system: System,
     ctx: FormalContext | CompoundContext,
+    intent: CnIntent | None = None,
 ) -> Concept:
-    """The concept of an extent mask, its extent set and sorted extent
-    both taken from one read of the mask's bits."""
-    t = bit_tuple(ext)
-    c = Concept(frozenset(t), intent, system, ctx)
-    c.__dict__["_sorted_extent"] = t  # what _once would store on first use
+    """The concept of an extent mask and a flat intent mask, b-part bits
+    after the a-block.  One read of each mask's bits gives its set, unless
+    a two-part ``intent`` is passed, and its sorted tuple."""
+    t, s = bit_tuple(ext), bit_tuple(att)
+    c = Concept(frozenset(t), frozenset(s) if intent is None else intent, system, ctx)
+    seeds = c.__dict__  # what _once would store on first use
+    seeds["_sorted_extent"], seeds["_sorted_intent"] = t, s
     return c
 
 
@@ -143,24 +151,27 @@ def _lower_neighbours(
 ) -> list[tuple[int, int]]:
     """Cover edges (upper index, lower index) between kernel concepts.
 
-    Lindig's neighbour test on the attribute side: below (A, B), every
-    attribute j outside B gives the extent e = A & cols[j], and e is a
-    lower neighbour exactly when the number of such j equals the number
-    of attributes its intent adds to B.  Fewer means some attribute of
-    that intent gives a larger extent in between.
+    Lindig's neighbour step on the attribute side: below (A, B), ``mins``
+    starts as the attributes outside B, and each attribute j of it, in
+    ascending order, gives the concept ``low`` of A & cols[j].  When the
+    intent of ``low`` holds another attribute of ``mins``, j leaves
+    ``mins``: ``low`` is no lower neighbour, or one that a later attribute
+    of its intent gives again.  Otherwise ``low`` is a lower neighbour, so
+    each comes once, from the last attribute its intent adds.
     """
     index = {ext: k for k, (ext, _) in enumerate(pairs)}
+    intents = [att for _, att in pairs]
+    col_bits = [(col, 1 << j) for j, col in enumerate(cols)]
     edges = []
     for k, (ext, att) in enumerate(pairs):
-        hits: dict[int, int] = {}
-        for j, col in enumerate(cols):
-            if not att >> j & 1:
-                e = ext & col
-                hits[e] = hits.get(e, 0) + 1
-        for e, count in hits.items():
-            low = index[e]
-            if count == (pairs[low][1] & ~att).bit_count():
-                edges.append((k, low))
+        mins = ~att  # the attributes outside the intent
+        for col, bit in col_bits:
+            if mins & bit:
+                low = index[ext & col]
+                if (intents[low] & mins) == bit:
+                    edges.append((k, low))
+                else:
+                    mins ^= bit
     return edges
 
 
@@ -181,7 +192,7 @@ def _lattice(
     _guard("enumeration", len(cols), "attributes", MAX_ENUMERATION_ATTRIBUTES, force)
     pairs = _kernel.formal_concepts(cols, t.n_objects)
     system = System(rule.family)
-    concepts = [_concept(flip ^ e, frozenset(bit_tuple(a)), system, ctx) for e, a in pairs]
+    concepts = [_concept(flip ^ e, a, system, ctx) for e, a in pairs]
     edges = _lower_neighbours(pairs, cols)
     if flip:
         last = len(pairs) - 1
@@ -252,7 +263,8 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
     for x in sorted(found, key=lambda m: concept_key(m, n), reverse=True):
         a, b = found[x]
         e = CnIntent(frozenset(bit_tuple(a)), frozenset(bit_tuple(b)))
-        concepts.append(_concept(x, e, System.COMMON_NECESSARY, cctx))
+        flat = a | b << len(a_cols)
+        concepts.append(_concept(x, flat, System.COMMON_NECESSARY, cctx, e))
     return concepts
 
 
@@ -318,8 +330,8 @@ def concepts_to_text(concepts: Sequence[Concept], ascii_ops: bool = False) -> st
     for k, c in enumerate(concepts):
         ext = _braced(c._object_names, ascii_ops)
         att = _braced(c._intent_names, ascii_ops)
-        lines.append(f"C{k} = ({ext}, {att})")
-    return "\n".join(lines) + "\n"
+        lines.append(f"C{k} = ({ext}, {att})\n")
+    return "".join(lines)
 
 
 def concept_json_obj(concept: Concept) -> dict:

@@ -6,6 +6,8 @@ library's own closure and search code, so library results can be checked
 against an independent witness.  Next to them sit the algorithms the
 library replaced, kept as references for their replacements:
 ``formal_concepts_next_closure`` (lectic-successor closure enumeration),
+``lower_neighbours_counting`` (cover edges by counting, per concept, the
+attributes that give each lower extent),
 ``covering_unions_lists`` (the cover search on candidate lists),
 ``strict_covers_per_object`` (one plain cover search per object outside
 the target), ``lower_by_complement_cover`` and ``upper_vee_by_cover``
@@ -247,6 +249,30 @@ def cover_edges_bruteforce(
             if not any(e < extents[mid] < extents[up] for mid in above):
                 edges.append((up, low))
     return tuple(sorted(edges))
+
+
+def lower_neighbours_counting(
+    pairs: Sequence[tuple[int, int]], cols: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Cover edges (upper index, lower index) between kernel concepts, by
+    counting: below (A, B), every attribute j outside B gives the extent
+    e = A & cols[j], and e is a lower neighbour exactly when the number of
+    such j equals the number of attributes its intent adds to B.  Fewer
+    means some attribute of that intent gives a larger extent in between.
+    """
+    index = {ext: k for k, (ext, _) in enumerate(pairs)}
+    edges = []
+    for k, (ext, att) in enumerate(pairs):
+        hits: dict[int, int] = {}
+        for j, col in enumerate(cols):
+            if not att >> j & 1:
+                e = ext & col
+                hits[e] = hits.get(e, 0) + 1
+        for e, count in hits.items():
+            low = index[e]
+            if count == (pairs[low][1] & ~att).bit_count():
+                edges.append((k, low))
+    return edges
 
 
 def maximal_strict_subsets(

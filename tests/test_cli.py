@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granudesc import FormalContext, serialize_context
+from granudesc import FormalContext, make_cn_context, serialize_compound, serialize_context
 from granudesc.cli import main
 
 from .conftest import DATA
@@ -176,6 +176,17 @@ def test_concepts_single_cell_context(capsys, tmp_path) -> None:
     code, out, _ = run(capsys, ["concepts", str(path), "--format", "text"])
     assert code == 0
     assert out.splitlines() == ["C0 = ({o1}, ∅)", "C1 = (∅, {a1})"]
+
+
+def test_concepts_empty_cn_family_prints_nothing(capsys, tmp_path) -> None:
+    # with every b-column empty no granule is a cn fixed point
+    a = FormalContext(("o1", "o2"), ("a1",), ((1,), (0,)))
+    b = FormalContext(("o1", "o2"), ("b1",), ((0,), (0,)))
+    path = tmp_path / "empty_cn.json"
+    path.write_text(serialize_compound(make_cn_context(a, b)))
+    argv = ["concepts", str(path), "--variant", "cn", "--format"]
+    assert run(capsys, argv + ["text"]) == (0, "", "")
+    assert run(capsys, argv + ["json"]) == (0, "[]\n", "")
 
 
 def test_concepts_size_guard_and_force(capsys, tmp_path) -> None:

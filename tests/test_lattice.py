@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granudesc import (
@@ -44,6 +46,7 @@ from granudesc.lattice import (
     lattice_to_dot,
 )
 from granudesc import _kernel, lattice
+from granudesc._bits import set_of
 
 from . import oracles
 from .conftest import objs, random_cn_context, random_context
@@ -343,9 +346,74 @@ def test_cover_edges_on_edge_shapes(rows) -> None:
     _assert_covers_match_bruteforce(ctx)
 
 
+def _kernel_column_sets(n: int, cols: list[int]) -> list[list[int]]:
+    """The columns the kernel meets for the formal, object-oriented
+    (complemented) and three-way (flattened) lattices of one table."""
+    comp = [((1 << n) - 1) ^ c for c in cols]
+    return [cols, comp, cols + comp]
+
+
+@st.composite
+def _column_tables(draw) -> tuple[int, list[int]]:
+    """An object count and column masks, with empty, all-ones and duplicate
+    columns mixed in, and tables of no column or more than 64 objects."""
+    n = draw(st.integers(0, 72))
+    full = (1 << n) - 1
+    cols: list[int] = []
+    for _ in range(draw(st.integers(0, 5))):
+        kinds = [st.just(0), st.just(full), st.integers(0, full)]
+        if cols:
+            kinds.append(st.sampled_from(cols))
+        cols.append(draw(st.one_of(kinds)))
+    return n, cols
+
+
+@given(table=_column_tables())
+@example(table=(70, [(1 << 70) - 1, 0, 0b1011 << 60, 0b1011 << 60, 0x5555 << 50]))
+@example(table=(65, [1 << 64, (1 << 65) - 2]))
+@example(table=(3, []))
+@settings(max_examples=150, deadline=None)
+def test_lower_neighbours_match_counting_and_bruteforce(table) -> None:
+    """Lindig's shrinking-``mins`` rule gives the edges of the counting rule
+    it replaced and of the pair-by-pair Hasse diagram."""
+    n, cols = table
+    for cs in _kernel_column_sets(n, cols):
+        pairs = _kernel.formal_concepts(cs, n)
+        got = sorted(lattice._lower_neighbours(pairs, cs))
+        assert got == sorted(oracles.lower_neighbours_counting(pairs, cs))
+        assert tuple(got) == oracles.cover_edges_bruteforce([set_of(e) for e, _ in pairs])
+
+
+def test_lower_neighbours_match_counting_at_benchmark_shapes() -> None:
+    """Fixed-seed tables of the ``perfbench`` lattice shapes at density 0.5,
+    no hypothesis, so every CI Python runs the same cases.  The benchmark's
+    own check only asks each edge to be ordered and the DOT edge count to
+    match, not that the edges are exactly the covers, so this is the one
+    full check at benchmark size (the brute-force Hasse diagram is too slow
+    there)."""
+    rng = random.Random(1901)
+    for _ in range(16):
+        for n, m, which in ((32, 14, 0), (24, 12, 1), (24, 8, 2)):
+            cols = list(random_context(rng, n, m, 0.5).column_masks)
+            cs = _kernel_column_sets(n, cols)[which]
+            pairs = _kernel.formal_concepts(cs, n)
+            got = sorted(lattice._lower_neighbours(pairs, cs))
+            assert got == sorted(oracles.lower_neighbours_counting(pairs, cs))
+            assert len(got) >= len(pairs) - 1  # every concept but the top has an upper cover
+
+
 # ---------------------------------------------------------------------------
 # concept order
 # ---------------------------------------------------------------------------
+
+
+def _four_families(ctx: FormalContext, cctx: CompoundContext) -> list[list[Concept]]:
+    return [
+        list(enumerate_formal(ctx).concepts),
+        list(enumerate_object_oriented(ctx).concepts),
+        list(enumerate_three_way(appose_negation(ctx)).concepts),
+        enumerate_cn(cctx),
+    ]
 
 
 @given(
@@ -359,18 +427,15 @@ def test_cover_edges_on_edge_shapes(rows) -> None:
 def test_every_family_lists_its_concepts_in_concept_order(
     seed: int, n_obj: int, n_att: int, n_b: int, density: float
 ) -> None:
-    """Each family comes sorted by ``Concept.sort_key``, every key once; the
-    object-oriented listing is the formal one over the complemented columns
-    in reverse."""
+    """Each family comes sorted by ``Concept.sort_key``, every key once, with
+    the sorted intents a fresh concept computes seeded; the object-oriented
+    listing is the formal one over the complemented columns in reverse."""
     rng = random.Random(seed)
     ctx = random_context(rng, n_obj, n_att, density)
     cctx = random_cn_context(rng, n_obj, n_att, n_b, density)
-    for concepts in (
-        enumerate_formal(ctx).concepts,
-        enumerate_object_oriented(ctx).concepts,
-        enumerate_three_way(appose_negation(ctx)).concepts,
-        enumerate_cn(cctx),
-    ):
+    families = _four_families(ctx, cctx)
+    _assert_seeded_intents(families)
+    for concepts in families:
         keys = [c.sort_key() for c in concepts]
         assert list(concepts) == sorted(concepts, key=Concept.sort_key)
         assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
@@ -507,6 +572,7 @@ def test_concept_label_and_text_listing(table1) -> None:
     assert lines[0] == "C0 = ({1,2,3,4,5,6,7}, ∅)"
     assert lines[6] == "C6 = ({2,7}, {a1,a2})"
     assert lines[10] == "C10 = (∅, {a1,a2,a3,a4,a5})"
+    assert concepts_to_text([]) == concepts_to_text([], ascii_ops=True) == ""
 
 
 def test_concept_json_objects(table1, table5) -> None:
@@ -568,6 +634,39 @@ def test_renderings_match_fresh_concepts_in_any_order(table1, table5, order) -> 
         want = _render([_fresh(c) for c in concepts], ("text", "json", "dot", "names"))
         assert _render(concepts, order) == want
         assert _render(concepts, order[::-1]) == want
+
+
+def _assert_seeded_intents(families: list[list[Concept]]) -> None:
+    for concepts in families:
+        for c in concepts:
+            assert c.__dict__["_sorted_intent"] == _fresh(c)._sorted_intent
+            assert intent_names(c) == intent_names(_fresh(c))
+
+
+def test_listings_seed_the_sorted_intent_on_the_data_tables(table1, table3, table5) -> None:
+    _assert_seeded_intents(_four_families(table1, table5))
+    _assert_seeded_intents([list(enumerate_three_way(table3).concepts)])
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda cs: pickle.loads(pickle.dumps(cs)), lambda cs: [copy.copy(c) for c in cs]],
+    ids=["pickle", "copy"],
+)
+@pytest.mark.parametrize("rendered", [False, True], ids=["seeded", "rendered"])
+def test_cloned_concepts_render_as_fresh_ones(table1, table5, clone, rendered) -> None:
+    lat = enumerate_formal(table1)
+    c1, c2 = lat.concepts[3], lat.concepts[4]
+    families = _four_families(table1, table5)
+    families.append([concept_meet(c1, c2), concept_join(c1, c2), concept_meet(c1, c1)])
+    everything = ("text", "json", "dot", "names")
+    for concepts in families:
+        want = _render([_fresh(c) for c in concepts], everything)
+        if rendered:
+            _render(concepts, everything)
+        clones = clone(concepts)
+        assert clones == concepts
+        assert _render(clones, everything) == want
 
 
 def test_rendered_concepts_keep_equality_and_names(table1) -> None:
