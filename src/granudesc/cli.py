@@ -156,23 +156,17 @@ def _one_based(granule: frozenset[int]) -> list[int]:
 
 
 def _description_json(d: Description | None) -> dict | None:
-    from granudesc.formula import Conj, ConjDisj, Disj
+    from granudesc.formula import _parts
 
     if d is None:
         return None
-    conj: list[str] = []
-    disj: list[str] = []
-    negated: list[str] = []
+    conj, disj = _parts(d)
     # atoms are stored in canonical order: plain before negated, by index
-    if isinstance(d, Conj):
-        for a in d.atoms:
-            (negated if a.negated else conj).append(a.name)
-    elif isinstance(d, Disj):
-        disj = [a.name for a in d.atoms]
-    elif isinstance(d, ConjDisj):
-        conj = [a.name for a in d.conj_atoms]
-        disj = [a.name for a in d.disj_atoms]
-    return {"conj": conj, "disj": disj, "negated": negated}
+    return {
+        "conj": [a.name for a in conj if not a.negated],
+        "disj": [a.name for a in disj],
+        "negated": [a.name for a in conj if a.negated],
+    }
 
 
 # ---------------------------------------------------------------------------

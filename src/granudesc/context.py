@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from collections.abc import Iterable, Sequence
 
 from granudesc._bits import mask_of
@@ -28,6 +27,28 @@ AttributeSet = frozenset[int]
 
 def _freeze_rows(rows: Iterable[Iterable[object]]) -> tuple[tuple[bool, ...], ...]:
     return tuple(tuple(bool(v) for v in row) for row in rows)
+
+
+class _once:
+    """A method turned into an attribute computed on first use.
+
+    The value goes into the instance ``__dict__``, which shadows this
+    non-data descriptor from then on; it is no field, so equality, hash
+    and repr ignore it.  Unlike the standard library's cached property on
+    Python 3.10 and 3.11, it takes no lock on a first read, which every new
+    context and concept makes for its masks or its sorted parts.  Two
+    threads reading first may both compute a value; each reads it whole.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def _fields_only(self) -> dict[str, object]:
@@ -75,14 +96,14 @@ class FormalContext:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    @cached_property
+    @_once
     def row_masks(self) -> tuple[int, ...]:
         """Per object, the mask of its attributes."""
         return tuple(
             mask_of(j for j, v in enumerate(row) if v) for row in self.incidence
         )
 
-    @cached_property
+    @_once
     def column_masks(self) -> tuple[int, ...]:
         """Per attribute, the mask of objects having it."""
         return tuple(
@@ -149,15 +170,15 @@ class CompoundContext:
                             f"object {i + 1}, attribute pair {k + 1} is not"
                         )
 
-    @cached_property
+    @_once
     def a_block(self) -> FormalContext:
         return FormalContext(self.objects, self.a_attributes, self.a_incidence)
 
-    @cached_property
+    @_once
     def b_block(self) -> FormalContext:
         return FormalContext(self.objects, self.b_attributes, self.b_incidence)
 
-    @cached_property
+    @_once
     def flattened(self) -> FormalContext:
         """Single table with the b-block columns appended after the a-block."""
         rows = tuple(
@@ -214,10 +235,10 @@ def _parse_cxt(text: str) -> FormalContext:
 
     def count(idx: int, what: str) -> int:
         raw = need(idx, what)
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ContextFormatError(f"expected {what}, got {raw!r}", line=idx + 1) from None
+        digits = raw.strip()  # int() would also read '٢', '２', '0_2' and '+1'
+        if not (digits.isascii() and digits.isdigit()):
+            raise ContextFormatError(f"expected {what}, got {raw!r}", line=idx + 1)
+        value = int(digits)
         if value <= 0:
             raise ContextFormatError(f"{what} must be positive, got {value}", line=idx + 1)
         return value

@@ -13,7 +13,9 @@ reading and evaluating all resolve atoms through it.  The builders
 indices and take their atoms from it in order, so their output is trusted
 and skips the constructors' validation; a description built by hand or
 parsed is validated.  ``parse_description`` reads the text in one pass; a
-name is a run of non-operator characters, inner whitespace kept."""
+name is a run of non-operator characters, inner whitespace kept.  Only
+``_parts`` reads a description's shape, as a conjunctive and a disjunctive
+part, either of which may be empty."""
 
 from __future__ import annotations
 
@@ -216,29 +218,35 @@ def _atom_column(ctx: FormalContext | CompoundContext, atom: Atom) -> int:
     return kind[1][atom.index]
 
 
-def _satisfying(ctx: FormalContext | CompoundContext, d: Description) -> int:
-    """Mask of the objects satisfying the description."""
-    full = (1 << ctx.n_objects) - 1
+def _parts(d: Description) -> tuple[tuple[Atom, ...], tuple[Atom, ...]]:
+    """The conjunctive and the disjunctive atoms of a description; a bare
+    conjunction or disjunction leaves the other part empty.  This is the
+    one place that tells the three description classes apart."""
     if isinstance(d, Conj):
-        m = full
-        for a in d.atoms:
-            m &= _atom_column(ctx, a)
-        return m
+        return d.atoms, ()
     if isinstance(d, Disj):
-        m = 0
-        for a in d.atoms:
-            m |= _atom_column(ctx, a)
-        return m
+        return (), d.atoms
     if isinstance(d, ConjDisj):
-        _require_flavor(ctx, Flavor.COMMON_NECESSARY, "a two-part description")
-        m = full
-        for a in d.conj_atoms:
-            m &= _atom_column(ctx, a)
-        dm = 0
-        for a in d.disj_atoms:
-            dm |= _atom_column(ctx, a)
-        return m & dm
+        return d.conj_atoms, d.disj_atoms
     raise TypeError(f"not a description: {d!r}")
+
+
+def _satisfying(ctx: FormalContext | CompoundContext, d: Description) -> int:
+    """Mask of the objects satisfying the description: the AND of its
+    conjunctive atoms, and-ed with the OR of its disjunctive ones when it
+    has any.  A description with both parts needs a cn compound."""
+    conj, disj = _parts(d)
+    if conj and disj:
+        _require_flavor(ctx, Flavor.COMMON_NECESSARY, "a two-part description")
+    m = (1 << len(ctx.objects)) - 1
+    for a in conj:
+        m &= _atom_column(ctx, a)
+    if disj:
+        dm = 0
+        for a in disj:
+            dm |= _atom_column(ctx, a)
+        m &= dm
+    return m
 
 
 def evaluate(ctx: FormalContext | CompoundContext, d: Description) -> ObjectSet:
@@ -256,21 +264,15 @@ _ASCII_OPS = {"and": " & ", "or": " | ", "not": "!"}
 
 def render(d: Description, ascii_ops: bool = False) -> str:
     """Deterministic text form, atoms in their canonical order; unicode
-    connectives unless asked otherwise."""
+    connectives unless asked otherwise.  The disjunctive part is and-ed on
+    in parentheses after a conjunctive one, and stands bare without it."""
     ops = _ASCII_OPS if ascii_ops else _UNICODE_OPS
-
-    def atom_text(a: Atom) -> str:
-        return (ops["not"] + a.name) if a.negated else a.name
-
-    if isinstance(d, Conj):
-        return ops["and"].join(atom_text(a) for a in d.atoms)
-    if isinstance(d, Disj):
-        return ops["or"].join(atom_text(a) for a in d.atoms)
-    if isinstance(d, ConjDisj):
-        conj = ops["and"].join(atom_text(a) for a in d.conj_atoms)
-        disj = ops["or"].join(atom_text(a) for a in d.disj_atoms)
-        return f"{conj}{ops['and']}({disj})"
-    raise TypeError(f"not a description: {d!r}")
+    conj, disj = _parts(d)
+    text = ops["and"].join(ops["not"] + a.name if a.negated else a.name for a in conj)
+    if not disj:
+        return text
+    either = ops["or"].join(a.name for a in disj)  # disjunctions are positive
+    return f"{text}{ops['and']}({either})" if conj else either
 
 
 _SYMBOLS = "()&|!∧∨¬"

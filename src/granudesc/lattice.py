@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from granudesc import _kernel
 from granudesc._bits import bit_tuple, concept_key
-from granudesc.context import CompoundContext, Flavor, FormalContext
+from granudesc.context import CompoundContext, Flavor, FormalContext, _once
 from granudesc.definability import _RULES, Mode
 from granudesc.derivation import (
     CnIntent,
@@ -37,26 +37,6 @@ class System(Enum):
     OBJECT_ORIENTED = "object_oriented"
     THREE_WAY = "three_way"
     COMMON_NECESSARY = "common_necessary"
-
-
-class _once:
-    """A method turned into an attribute computed on first use.
-
-    The value goes into the instance ``__dict__``, which shadows this
-    non-data descriptor from then on, so it is computed at most once and
-    is no field: equality, hash and repr ignore it.  Unlike
-    ``functools.cached_property`` on Python 3.11, it takes no lock.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclass(frozen=True)

@@ -538,6 +538,20 @@ def test_stdin_dash_input(capsys, monkeypatch) -> None:
     assert code == 0 and out == "definable: a1 ∧ a2\n"
 
 
+@pytest.mark.parametrize(
+    "count, padded",
+    [("٢", False), ("２", False), ("0_2", False), ("+1", False), (" 2", True), ("2 ", True)],
+)
+def test_cxt_counts_through_the_command_line(capsys, monkeypatch, count, padded) -> None:
+    data = f"B\n\n{count}\n1\n\no1\no2\na1\nX\n.\n".encode()
+    monkeypatch.setattr(sys, "stdin", _stdin_of(data))
+    if padded:
+        want = (0, "ok: 2 objects, 1 attributes, 1 incidences\n", "")
+    else:
+        want = (2, "", f"error: line 3: expected object count, got {count!r}\n")
+    assert run(capsys, ["validate", "-"]) == want
+
+
 def test_undecodable_input_exits_2_alike_from_file_and_stdin(
     capsys, monkeypatch, tmp_path
 ) -> None:

@@ -91,6 +91,24 @@ def test_cxt_parse_errors_report_position(mangle, line, column) -> None:
     assert err.value.column == column
 
 
+def _two_by_one_cxt(object_count: str) -> str:
+    return f"B\n\n{object_count}\n1\n\no1\no2\na1\nX\n.\n"
+
+
+@pytest.mark.parametrize("count", ["٢", "２", "0_2", "+1"])
+def test_cxt_counts_are_ascii_digits(count: str) -> None:
+    # each of these reads as a number under int()
+    with pytest.raises(ContextFormatError) as err:
+        parse_context(_two_by_one_cxt(count))
+    assert err.value.line == 3
+    assert err.value.message == f"expected object count, got {count!r}"
+
+
+@pytest.mark.parametrize("count", [" 2", "2 "])
+def test_cxt_counts_may_be_padded_with_spaces(count: str) -> None:
+    assert parse_context(_two_by_one_cxt(count)) == parse_context(_two_by_one_cxt("2"))
+
+
 def test_cxt_truncated_input() -> None:
     text = "\n".join(load_text("table1.cxt").split("\n")[:8]) + "\n"
     with pytest.raises(ContextFormatError):

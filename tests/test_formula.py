@@ -402,6 +402,14 @@ def test_render_disj(table1: FormalContext) -> None:
     assert render(d) == "a3 ∨ a4 ∨ a5"
 
 
+@pytest.mark.parametrize("value", ["a1 ∧ a2", Atom(Block.A, 0, "a1")], ids=["str", "atom"])
+def test_a_non_description_is_a_type_error(table1: FormalContext, value) -> None:
+    for call in (lambda: evaluate(table1, value), lambda: render(value)):
+        with pytest.raises(TypeError) as err:
+            call()
+        assert str(err.value) == f"not a description: {value!r}"
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------

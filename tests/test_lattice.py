@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import sys
+import threading
 from itertools import permutations
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from granudesc import (
     CnIntent,
     CompoundContext,
+    Flavor,
     FlavorMismatch,
     FormalContext,
     SizeGuardExceeded,
@@ -25,9 +28,16 @@ from granudesc import (
     compound_intent,
     extent,
     intent,
+    is_cn_definable,
+    is_three_way_definable,
+    is_wedge_definable,
+    lower_three_way,
+    lower_wedge,
     make_cn_context,
     necessity,
     possibility,
+    render,
+    upper_cn,
 )
 from granudesc.lattice import (
     Concept,
@@ -682,3 +692,75 @@ def test_rendered_concepts_keep_equality_and_names(table1) -> None:
         assert "zz" not in intent_names(c)
         assert c == plain and hash(c) == hash(plain)
         assert c.sort_key() == plain.sort_key()
+
+
+def _fresh_tables() -> list[tuple]:
+    """A plain table, a three-way and a cn compound, built anew so that no
+    mask or flattened table has been read yet, each with the verdict,
+    bound and listing to ask of it."""
+    rng = random.Random(20)
+    return [
+        (random_context(rng, 16, 8, 0.4), is_wedge_definable, lower_wedge, enumerate_formal),
+        (
+            appose_negation(random_context(rng, 12, 6, 0.4)),
+            is_three_way_definable,
+            lower_three_way,
+            enumerate_three_way,
+        ),
+        (random_cn_context(rng, 10, 4, 4, 0.4), is_cn_definable, upper_cn, enumerate_cn),
+    ]
+
+
+def _granule(ctx: FormalContext | CompoundContext) -> frozenset[int]:
+    """Every other object that has the first attribute, so the intent is
+    not empty; on a cn compound only those with some b-attribute too."""
+    if isinstance(ctx, FormalContext):
+        return frozenset(i for i in range(0, ctx.n_objects, 2) if ctx.incidence[i][0])
+    cn = ctx.flavor is Flavor.COMMON_NECESSARY
+    return frozenset(
+        i
+        for i in range(0, ctx.n_objects, 2)
+        if ctx.a_incidence[i][0] and (any(ctx.b_incidence[i]) or not cn)
+    )
+
+
+def _answers(tables: list[tuple]) -> list[object]:
+    """Per table, a verdict and a bound with their descriptions rendered,
+    and the listing as text, JSON and DOT."""
+    got: list[object] = []
+    for ctx, verdict_of, bound_of, listing_of in tables:
+        granule = _granule(ctx)
+        verdict, bound = verdict_of(ctx, granule), bound_of(ctx, granule)
+        described = [verdict.description] + [d for _, d in bound.granules]
+        listing = listing_of(ctx)
+        concepts = list(getattr(listing, "concepts", listing))
+        got += [verdict, bound, [d and render(d) for d in described]]
+        got.append(_render(concepts, ("text", "json", "dot")))
+    return got
+
+
+def test_threads_on_first_use_of_fresh_contexts_read_alike() -> None:
+    # eight threads meet the same fresh contexts, switching often, so that
+    # several may compute one context's masks or flattened table at once;
+    # each must still read a whole value, equal to a single thread's
+    want = _answers(_fresh_tables())
+    tables = _fresh_tables()
+    start = threading.Barrier(8)
+    got: list[list[object]] = []
+
+    def ask() -> None:
+        start.wait()
+        got.append(_answers(tables))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 8

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in the scope that imports
-it, every module-level private function or class is used somewhere, and
-no function calls itself.
+it, every module-level private function or class is used somewhere, no
+function calls itself, a description's shape is read in one place and
+derived values are kept one way.
 
 No linter runs on this package, so this test stands in for the unused
 import and dead code checks.  An import inside a function body must be
@@ -10,6 +11,11 @@ exports come from its table of names and not from imports.  A function
 that calls itself puts its search on the interpreter stack, whose depth
 limit then caps the input size; a search keeps its nodes in a stack of
 its own instead.
+
+``formula._parts`` is the only code that tells ``Conj``, ``Disj`` and
+``ConjDisj`` apart; everything else reads a description's two parts from
+it.  Values computed on first use go through ``context._once``, never
+``functools.cached_property``, which takes a lock on its first read.
 """
 
 from __future__ import annotations
@@ -25,15 +31,19 @@ ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _scope_imports(scope: ast.Module | ast.FunctionDef | ast.AsyncFunctionDef):
-    """The imports of a module or function body, not those of the
+def _scopes(tree: ast.Module) -> list[ast.Module | ast.FunctionDef | ast.AsyncFunctionDef]:
+    """The module and every function in it, nested ones included."""
+    return [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]
+
+
+def _scope_nodes(scope: ast.Module | ast.FunctionDef | ast.AsyncFunctionDef):
+    """The nodes of a module or function body, not those of the
     functions nested in it."""
     stack = list(scope.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if not isinstance(node, FUNCTIONS):
             yield node
-        elif not isinstance(node, FUNCTIONS):
             stack.extend(ast.iter_child_nodes(node))
 
 
@@ -42,10 +52,12 @@ def _unused_imports(tree: ast.Module) -> set[tuple[str, int]]:
     line: the module for a module-level import, the function (nested
     functions included) for one in a function body."""
     unused = set()
-    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+    for scope in _scopes(tree):
         # an attribute chain starts at a Name, so Name nodes cover it too
         used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
-        for node in _scope_imports(scope):
+        for node in _scope_nodes(scope):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             for alias in node.names:
@@ -175,3 +187,82 @@ def test_a_self_calling_function_is_found() -> None:
         "def plain(n):\n    return abs(n)\n"
     )
     assert _self_calling_defs(tree) == {"direct", "rec", "walk"}
+
+
+DESCRIPTION_CLASSES = {"Conj", "Disj", "ConjDisj"}
+
+
+def _class_names(node: ast.expr) -> set[str]:
+    """The class names an ``isinstance`` argument names, tuples included."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_class_names, node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def _description_dispatches(tree: ast.Module) -> set[str]:
+    """The functions (or ``<module>``) holding an ``isinstance`` test
+    against one of the description classes."""
+    return {
+        getattr(scope, "name", "<module>")
+        for scope in _scopes(tree)
+        for node in _scope_nodes(scope)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and _class_names(node.args[1]) & DESCRIPTION_CLASSES
+    }
+
+
+def _cached_property_reads(tree: ast.Module) -> set[int]:
+    """Lines that import or read ``functools.cached_property``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cached_property" for alias in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            found.add(node.lineno)
+    return found
+
+
+def test_only_formula_parts_tells_the_description_classes_apart() -> None:
+    found = {
+        (path.name, scope)
+        for path in ALL_MODULES
+        for scope in _description_dispatches(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("formula.py", "_parts")}
+
+
+def test_a_description_dispatch_is_found() -> None:
+    tree = ast.parse(
+        "import formula as f\n"
+        "if isinstance(x, Conj):\n    pass\n\n"
+        "def shape(d):\n"
+        "    def inner(e):\n        return isinstance(e, (int, f.ConjDisj))\n"
+        "    return isinstance(d, Atom)\n\n"
+        "def side(d):\n    return isinstance(d, (Disj,))\n\n"
+        "def other(d):\n    return type(d) is Conj or isinstance(d, Conjunction)\n"
+    )
+    assert _description_dispatches(tree) == {"<module>", "inner", "side"}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_reads_cached_property(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not _cached_property_reads(tree)
+
+
+def test_a_cached_property_read_is_found() -> None:
+    tree = ast.parse(
+        "from functools import cached_property as cp, reduce\n"
+        "import functools\n"
+        "from functools import lru_cache\n\n"
+        "class C:\n"
+        "    @functools.cached_property\n    def a(self):\n        return 1\n"
+        "    cached_property = None\n"
+    )
+    assert _cached_property_reads(tree) == {1, 6}
