@@ -12,7 +12,6 @@ their tables and closures come from the table of modes in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Iterable
 from typing import TypeVar
@@ -23,6 +22,7 @@ from granudesc.context import (
     CompoundContext,
     FormalContext,
     ObjectSet,
+    _Record,
 )
 from granudesc.definability import (
     Mode,
@@ -40,30 +40,46 @@ class Direction(Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class Approximation:
+class Approximation(_Record):
     direction: Direction
     mode: Mode
     granules: tuple[tuple[ObjectSet, Description | None], ...]
     exact: bool
 
+    def __init__(
+        self,
+        direction: Direction,
+        mode: Mode,
+        granules: tuple[tuple[ObjectSet, Description | None], ...],
+        exact: bool,
+    ) -> None:
+        d = self.__dict__
+        d["direction"] = direction
+        d["mode"] = mode
+        d["granules"] = granules
+        d["exact"] = exact
 
-@dataclass(frozen=True)
-class CoverProblem:
+
+class CoverProblem(_Record):
     """Candidate attribute extents and a target to cover by their union."""
 
     candidates: tuple[tuple[int, ObjectSet], ...]
     target: ObjectSet
 
-    def __post_init__(self) -> None:
-        ids = [i for i, _ in self.candidates]
+    def __init__(
+        self, candidates: tuple[tuple[int, ObjectSet], ...], target: ObjectSet
+    ) -> None:
+        ids = [i for i, _ in candidates]
         if len(ids) != len(set(ids)):
             raise ValueError("candidate attribute ids must be unique")
-        for i, ext in self.candidates:
+        for i, ext in candidates:
             if (low := min(ext, default=0)) < 0:
                 raise ValueError(f"candidate {i} holds negative object index {low}")
-        if (low := min(self.target, default=0)) < 0:
+        if (low := min(target, default=0)) < 0:
             raise ValueError(f"the target holds negative object index {low}")
+        d = self.__dict__
+        d["candidates"] = candidates
+        d["target"] = target
 
 
 def enumerate_minimal_covers(

@@ -31,7 +31,12 @@ from granudesc.context import (
     serialize_compound,
     serialize_context,
 )
-from granudesc.errors import GranuleDescError, Inapplicable, SizeGuardExceeded
+from granudesc.errors import (
+    ContextFormatError,
+    GranuleDescError,
+    Inapplicable,
+    SizeGuardExceeded,
+)
 
 if TYPE_CHECKING:  # names of annotations only; each handler imports what it runs
     from granudesc.definability import Mode
@@ -50,6 +55,10 @@ class _CliError(Exception):
         self.code = code
 
 
+def _input_name(path: str) -> str:
+    return "stdin" if path == "-" else path
+
+
 def _read_text(path: str) -> str:
     """The input's bytes as UTF-8 text; the parsers drop a leading byte
     order mark.
@@ -57,7 +66,7 @@ def _read_text(path: str) -> str:
     Decoding the bytes whole, BOM included, keeps the offset of a bad
     byte an offset into the input.
     """
-    name = "stdin" if path == "-" else path
+    name = _input_name(path)
     try:
         if path == "-":
             data = sys.stdin.buffer.read()
@@ -75,7 +84,13 @@ def _read_text(path: str) -> str:
 
 
 def _load_any(path: str) -> FormalContext | CompoundContext:
-    return _parse_any(_read_text(path))
+    """The context in the input; a parse error names the input, as a
+    command may read two."""
+    text = _read_text(path)
+    try:
+        return _parse_any(text)
+    except ContextFormatError as exc:
+        raise _CliError(f"{_input_name(path)}: {exc}") from None
 
 
 def _as_formal(loaded: object, what: str) -> FormalContext:
@@ -416,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         reason = getattr(exc.reason, "value", exc.reason)
         print(f"inapplicable: {exc.message} ({reason})", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except GranuleDescError as exc:  # parse errors and context-kind mismatches
+    except GranuleDescError as exc:  # context-kind mismatches, blocks that disagree
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -14,7 +14,6 @@ a JSON shape.  Parsing reports the offending line/column.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Iterable, Sequence
 
@@ -51,14 +50,53 @@ class _once:
         return value
 
 
-def _fields_only(self) -> dict[str, object]:
-    """State to pickle or copy: the fields alone, so a clone rebuilds its
-    cached masks and atom maps on first use instead of sharing them."""
-    return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields as class annotations, in order, and its
+    own ``__init__`` writes them into the instance dict.  As on a frozen
+    dataclass, equality needs the same class and compares the fields as a
+    tuple, the hash is that tuple's, the repr reads ``Name(field=value)``
+    and assigning or deleting an attribute raises ``AttributeError``; the
+    methods are written once here, where the ``dataclasses`` import and
+    the code it generates for each class cost every process several
+    milliseconds.  Pickling and copying carry the fields alone, so a clone
+    rebuilds its cached masks, atom maps and sorted parts on first use
+    instead of sharing them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict[str, object]:
+        return dict(zip(self._fields, self._values()))
 
 
-@dataclass(frozen=True)
-class FormalContext:
+class FormalContext(_Record):
     """Immutable object-attribute table.
 
     ``incidence[i][j]`` is True when object i has attribute j.  Names must
@@ -70,22 +108,26 @@ class FormalContext:
     attributes: tuple[str, ...]
     incidence: tuple[tuple[bool, ...], ...]
 
-    __getstate__ = _fields_only
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "incidence", _freeze_rows(self.incidence))
-        _check_names(self.objects, "object")
-        _check_names(self.attributes, "attribute")
-        if len(self.incidence) != len(self.objects):
+    def __init__(
+        self,
+        objects: tuple[str, ...],
+        attributes: tuple[str, ...],
+        incidence: tuple[tuple[bool, ...], ...],
+    ) -> None:
+        d = self.__dict__
+        d["objects"] = objects = tuple(objects)
+        d["attributes"] = attributes = tuple(attributes)
+        d["incidence"] = incidence = _freeze_rows(incidence)
+        _check_names(objects, "object")
+        _check_names(attributes, "attribute")
+        if len(incidence) != len(objects):
             raise ContextFormatError(
-                f"expected {len(self.objects)} incidence rows, got {len(self.incidence)}"
+                f"expected {len(objects)} incidence rows, got {len(incidence)}"
             )
-        for i, row in enumerate(self.incidence):
-            if len(row) != len(self.attributes):
+        for i, row in enumerate(incidence):
+            if len(row) != len(attributes):
                 raise ContextFormatError(
-                    f"row {i + 1} has {len(row)} cells, expected {len(self.attributes)}"
+                    f"row {i + 1} has {len(row)} cells, expected {len(attributes)}"
                 )
 
     @property
@@ -111,6 +153,19 @@ class FormalContext:
             for j in range(self.n_attributes)
         )
 
+    @_once
+    def column_union(self) -> int:
+        """The mask of objects having some attribute."""
+        union = 0
+        for col in self.column_masks:
+            union |= col
+        return union
+
+    @_once
+    def empty_columns(self) -> int:
+        """The mask of attributes no object has."""
+        return mask_of(j for j, col in enumerate(self.column_masks) if not col)
+
     @property
     def full_object_mask(self) -> int:
         return (1 << self.n_objects) - 1
@@ -131,8 +186,7 @@ class Flavor(Enum):
     COMMON_NECESSARY = "common_necessary"
 
 
-@dataclass(frozen=True)
-class CompoundContext:
+class CompoundContext(_Record):
     """Two attribute blocks over a shared object set."""
 
     objects: tuple[str, ...]
@@ -142,14 +196,22 @@ class CompoundContext:
     b_incidence: tuple[tuple[bool, ...], ...]
     flavor: Flavor
 
-    __getstate__ = _fields_only
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "a_attributes", tuple(self.a_attributes))
-        object.__setattr__(self, "b_attributes", tuple(self.b_attributes))
-        object.__setattr__(self, "a_incidence", _freeze_rows(self.a_incidence))
-        object.__setattr__(self, "b_incidence", _freeze_rows(self.b_incidence))
+    def __init__(
+        self,
+        objects: tuple[str, ...],
+        a_attributes: tuple[str, ...],
+        b_attributes: tuple[str, ...],
+        a_incidence: tuple[tuple[bool, ...], ...],
+        b_incidence: tuple[tuple[bool, ...], ...],
+        flavor: Flavor,
+    ) -> None:
+        d = self.__dict__
+        d["objects"] = tuple(objects)
+        d["a_attributes"] = tuple(a_attributes)
+        d["b_attributes"] = tuple(b_attributes)
+        d["a_incidence"] = _freeze_rows(a_incidence)
+        d["b_incidence"] = _freeze_rows(b_incidence)
+        d["flavor"] = flavor
         # block-level shape checks are delegated to the FormalContext views
         self.a_block, self.b_block
         overlap = set(self.a_attributes) & set(self.b_attributes)

@@ -24,7 +24,6 @@ before it leaves the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Callable, Iterable
 from typing import Any
@@ -36,6 +35,7 @@ from granudesc.context import (
     Flavor,
     FormalContext,
     ObjectSet,
+    _Record,
 )
 from granudesc.derivation import (
     _cn_b_part,
@@ -78,12 +78,24 @@ class Reason(Enum):
     EMPTY_A_PART = "empty_a_part"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     status: Status
-    description: Description | None = None
-    reason: Reason | None = None
-    witness: ObjectSet | None = None
+    description: Description | None
+    reason: Reason | None
+    witness: ObjectSet | None
+
+    def __init__(
+        self,
+        status: Status,
+        description: Description | None = None,
+        reason: Reason | None = None,
+        witness: ObjectSet | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["status"] = status
+        d["description"] = description
+        d["reason"] = reason
+        d["witness"] = witness
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +103,7 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(_Record):
     """How one description mode reads a context.
 
     ``derive`` maps a granule mask to the attribute mask of ``table(ctx)``
@@ -107,7 +118,26 @@ class _Rule:
     close: Callable[[Any, int], int]
     build: Callable[[Any, int], Description]
     family: str  # the concept family the mode's fixed points form
-    needs_granule: bool = False  # the empty granule has no answer
+    needs_granule: bool  # the empty granule has no answer
+
+    def __init__(
+        self,
+        flavor: Flavor | None,
+        table: Callable[[Any], Any],
+        derive: Callable[[Any, int], int],
+        close: Callable[[Any, int], int],
+        build: Callable[[Any, int], Description],
+        family: str,
+        needs_granule: bool = False,
+    ) -> None:
+        d = self.__dict__
+        d["flavor"] = flavor
+        d["table"] = table
+        d["derive"] = derive
+        d["close"] = close
+        d["build"] = build
+        d["family"] = family
+        d["needs_granule"] = needs_granule
 
     def minimal(self, t: Any, x: int) -> list[int]:
         """Inclusion-minimal attribute masks that close to the granule, by

@@ -14,7 +14,6 @@ public functions check indices, call the twin and return frozensets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable
 
 from granudesc import _kernel
@@ -25,6 +24,7 @@ from granudesc.context import (
     Flavor,
     FormalContext,
     ObjectSet,
+    _Record,
 )
 from granudesc.errors import FlavorMismatch
 
@@ -130,8 +130,7 @@ def compound_extent(cctx: CompoundContext, attrs: Iterable[int]) -> ObjectSet:
     return extent(cctx.flattened, attrs)
 
 
-@dataclass(frozen=True)
-class CnIntent:
+class CnIntent(_Record):
     """Two-part description seed: conjunctive a-part, disjunctive b-part.
 
     ``no_b_cover`` marks granules no union of b-extents contains; the
@@ -140,7 +139,15 @@ class CnIntent:
 
     a_part: AttributeSet
     b_part: AttributeSet
-    no_b_cover: bool = False
+    no_b_cover: bool
+
+    def __init__(
+        self, a_part: AttributeSet, b_part: AttributeSet, no_b_cover: bool = False
+    ) -> None:
+        d = self.__dict__
+        d["a_part"] = a_part
+        d["b_part"] = b_part
+        d["no_b_cover"] = no_b_cover
 
 
 def _cn_extent(cctx: CompoundContext, attrs: int) -> int:
@@ -166,16 +173,14 @@ def _cn_premise(cctx: CompoundContext, x: int) -> tuple[int, bool]:
     two-part description exists only when it is non-empty and the
     granule is covered.
     """
-    coverable = _possibility(cctx.b_block, cctx.b_block.full_attribute_mask)
-    return _intent(cctx.a_block, x), x & ~coverable == 0
+    return _intent(cctx.a_block, x), x & ~cctx.b_block.column_union == 0
 
 
-def _cn_b_choice(b_block: FormalContext, unions: Iterable[int], empty: int) -> int:
+def _cn_b_choice(b_block: FormalContext, unions: Iterable[int]) -> int:
     """The canonical b-part from covers of a granule that add equally few
     objects inside its a-extent: the least union by size, then by
     ``member_vector``, and every b-attribute whose non-empty extent lies
-    inside it.  ``empty`` is ``_necessity(b_block, 0)``, the empty
-    b-columns, computed once by the caller.
+    inside it.
 
     Of two unions of one size, the lesser ``member_vector`` lacks the
     lowest object where they differ, so the order is read on the masks.
@@ -185,7 +190,7 @@ def _cn_b_choice(b_block: FormalContext, unions: Iterable[int], empty: int) -> i
         k = y.bit_count()
         if k < size or k == size and not y & (d := best ^ y) & -d:
             best, size = y, k
-    return _necessity(b_block, best) & ~empty
+    return _necessity(b_block, best) & ~b_block.empty_columns
 
 
 def _cn_b_part(cctx: CompoundContext, x: int, a_part: int) -> int:
@@ -208,7 +213,7 @@ def _cn_b_part(cctx: CompoundContext, x: int, a_part: int) -> int:
     unions = _kernel.minimal_cover_unions(pool, x) or _kernel.minimal_cover_unions(b_cols, x)
     inside = min((g & y).bit_count() for y in unions)
     least = [y for y in unions if (g & y).bit_count() == inside]
-    return _cn_b_choice(b_block, least, _necessity(b_block, 0))
+    return _cn_b_choice(b_block, least)
 
 
 def cn_intent(cctx: CompoundContext, objects: Iterable[int]) -> CnIntent:

@@ -20,12 +20,11 @@ part, either of which may be empty."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Iterable, Sequence
 
 from granudesc._bits import set_of
-from granudesc.context import CompoundContext, Flavor, FormalContext, ObjectSet
+from granudesc.context import CompoundContext, Flavor, FormalContext, ObjectSet, _Record
 from granudesc.derivation import _require_flavor
 from granudesc.errors import GranuleDescError
 
@@ -35,51 +34,55 @@ class Block(Enum):
     B = "b"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Record):
     block: Block
     index: int
     name: str
-    negated: bool = False
+    negated: bool
+
+    def __init__(self, block: Block, index: int, name: str, negated: bool = False) -> None:
+        d = self.__dict__
+        d["block"] = block
+        d["index"] = index
+        d["name"] = name
+        d["negated"] = negated
 
 
-@dataclass(frozen=True)
-class Conj:
+class Conj(_Record):
     """All atoms must hold."""
 
     atoms: tuple[Atom, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _canonical_atoms(self.atoms))
+    def __init__(self, atoms: tuple[Atom, ...]) -> None:
+        self.__dict__["atoms"] = _canonical_atoms(atoms)
 
 
-@dataclass(frozen=True)
-class Disj:
+class Disj(_Record):
     """At least one atom must hold; negation is not allowed here."""
 
     atoms: tuple[Atom, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _canonical_atoms(self.atoms))
-        if any(a.negated for a in self.atoms):
+    def __init__(self, atoms: tuple[Atom, ...]) -> None:
+        self.__dict__["atoms"] = atoms = _canonical_atoms(atoms)
+        if any(a.negated for a in atoms):
             raise GranuleDescError("disjunctions take positive atoms only")
 
 
-@dataclass(frozen=True)
-class ConjDisj:
+class ConjDisj(_Record):
     """Conjunction of a-block atoms, and-ed with one b-block disjunct."""
 
     conj_atoms: tuple[Atom, ...]
     disj_atoms: tuple[Atom, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "conj_atoms", _canonical_atoms(self.conj_atoms))
-        object.__setattr__(self, "disj_atoms", _canonical_atoms(self.disj_atoms))
-        if any(a.negated for a in self.conj_atoms + self.disj_atoms):
+    def __init__(self, conj_atoms: tuple[Atom, ...], disj_atoms: tuple[Atom, ...]) -> None:
+        d = self.__dict__
+        d["conj_atoms"] = conj_atoms = _canonical_atoms(conj_atoms)
+        d["disj_atoms"] = disj_atoms = _canonical_atoms(disj_atoms)
+        if any(a.negated for a in conj_atoms + disj_atoms):
             raise GranuleDescError("two-part descriptions take positive atoms only")
-        if any(a.block is not Block.A for a in self.conj_atoms):
+        if any(a.block is not Block.A for a in conj_atoms):
             raise GranuleDescError("the conjunctive part must use a-block atoms")
-        if any(a.block is not Block.B for a in self.disj_atoms):
+        if any(a.block is not Block.B for a in disj_atoms):
             raise GranuleDescError("the disjunctive part must use b-block atoms")
 
 
@@ -158,12 +161,12 @@ def _pick(
 
 def _trusted(cls: type, *parts: tuple[Atom, ...]) -> Description:
     """A description of atom tuples taken in order from the context's rows;
-    they are sorted and distinct already, so ``__post_init__`` is skipped."""
+    they are sorted and distinct already, so the constructor's checks are
+    skipped."""
     if not all(parts):
         raise GranuleDescError("a description needs at least one atom")
     d = object.__new__(cls)
-    for field, atoms in zip(cls.__dataclass_fields__, parts):
-        object.__setattr__(d, field, atoms)
+    d.__dict__.update(zip(cls._fields, parts))
     return d
 
 

@@ -10,18 +10,16 @@ the common-and-necessary family is a plain list of fixed points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Sequence
 
 from granudesc import _kernel
 from granudesc._bits import bit_tuple, concept_key
-from granudesc.context import CompoundContext, Flavor, FormalContext, _once
+from granudesc.context import CompoundContext, Flavor, FormalContext, _Record, _once
 from granudesc.definability import _RULES, Mode
 from granudesc.derivation import (
     CnIntent,
     _cn_b_choice,
-    _necessity,
     _require_flavor,
     extent,
     intent,
@@ -39,8 +37,7 @@ class System(Enum):
     COMMON_NECESSARY = "common_necessary"
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(_Record):
     """An (extent, intent) pair tied to the context it was computed over.
 
     The sorted extent and intent and the object and intent names are
@@ -54,6 +51,19 @@ class Concept:
     intent: frozenset[int] | CnIntent
     system: System
     context: FormalContext | CompoundContext
+
+    def __init__(
+        self,
+        extent: frozenset[int],
+        intent: frozenset[int] | CnIntent,
+        system: System,
+        context: FormalContext | CompoundContext,
+    ) -> None:
+        d = self.__dict__
+        d["extent"] = extent
+        d["intent"] = intent
+        d["system"] = system
+        d["context"] = context
 
     def sort_key(self) -> tuple:
         return (-len(self.extent), self._sorted_extent)
@@ -84,13 +94,23 @@ class Concept:
         return [names[j] for j in self._sorted_intent]
 
 
-@dataclass(frozen=True)
-class ConceptLattice:
+class ConceptLattice(_Record):
     """Canonically ordered concepts plus the cover edges of their order."""
 
     concepts: tuple[Concept, ...]
     covers: tuple[tuple[int, int], ...]  # (upper index, lower index)
     system: System
+
+    def __init__(
+        self,
+        concepts: tuple[Concept, ...],
+        covers: tuple[tuple[int, int], ...],
+        system: System,
+    ) -> None:
+        d = self.__dict__
+        d["concepts"] = concepts
+        d["covers"] = covers
+        d["system"] = system
 
     @property
     def top(self) -> Concept:
@@ -220,7 +240,6 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
     _guard("cn enumeration", n, "objects", MAX_CN_OBJECTS, force)
     a_block, b_block = cctx.a_block, cctx.b_block
     a_cols, b_cols = a_block.column_masks, b_block.column_masks
-    empty = _necessity(b_block, 0)
     found: dict[int, tuple[int, int]] = {}  # extent -> (a-part, b-part)
     for g, att in _kernel.formal_concepts(a_cols, n):
         unions = {0}
@@ -238,7 +257,7 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
                 if x & ~c == 0:
                     break
             else:
-                found[x] = att, _cn_b_choice(b_block, ys, empty)
+                found[x] = att, _cn_b_choice(b_block, ys)
     concepts = []
     for x in sorted(found, key=lambda m: concept_key(m, n), reverse=True):
         a, b = found[x]

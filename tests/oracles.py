@@ -23,12 +23,15 @@ builds their descriptions), ``FRESH_BUILDERS``
 (the description builders making new atoms on every call and passing
 them through the validating constructors) and
 ``parse_description_scanner`` (the token scanner the one-pass
-description reader replaced).  Sizes are desk scale;
-nothing here is meant to be fast.
+description reader replaced) and ``frozen_twin`` (a record as the frozen
+dataclass the records were before ``context._Record``).  Sizes are desk
+scale; nothing here is meant to be fast.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import re
 from collections.abc import Callable, Sequence
 from itertools import combinations
@@ -60,6 +63,7 @@ from granudesc import (
 )
 from granudesc import _kernel
 from granudesc._bits import bits, concept_key, mask_of, member_vector, set_of
+from granudesc.context import _Record
 from granudesc.derivation import _cn_b_part, _intent
 from granudesc.lattice import Concept, System
 
@@ -792,3 +796,26 @@ def parse_description_scanner(text: str, ctx: FormalContext | CompoundContext) -
     if ops and ops[0] == "or":
         return Disj(atoms)
     return Conj(atoms)
+
+
+# ---------------------------------------------------------------------------
+# the records as frozen dataclasses
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _twin_class(cls: type) -> type:
+    return dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+
+
+def frozen_twin(value: object) -> object:
+    """``value`` with every record in it, nested ones and those in tuples
+    included, rebuilt as a frozen dataclass of the record's class name and
+    fields: the generated equality, hash, repr and refusal of assignment
+    that ``context._Record`` writes by hand."""
+    if isinstance(value, tuple):
+        return tuple(frozen_twin(v) for v in value)
+    if not isinstance(value, _Record):
+        return value
+    fields = (frozen_twin(getattr(value, f)) for f in value._fields)
+    return _twin_class(type(value))(*fields)

@@ -548,8 +548,18 @@ def test_cxt_counts_through_the_command_line(capsys, monkeypatch, count, padded)
     if padded:
         want = (0, "ok: 2 objects, 1 attributes, 1 incidences\n", "")
     else:
-        want = (2, "", f"error: line 3: expected object count, got {count!r}\n")
+        want = (2, "", f"error: stdin: line 3: expected object count, got {count!r}\n")
     assert run(capsys, ["validate", "-"]) == want
+
+
+def test_a_parse_error_names_the_input_it_comes_from(capsys, tmp_path) -> None:
+    bad = tmp_path / "bad.cxt"
+    bad.write_text("B\n\n٢\n1\n\no1\no2\na1\nX\n.\n", encoding="utf-8")
+    good = str(DATA / "table1.cxt")
+    want = (2, "", f"error: {bad}: line 3: expected object count, got '٢'\n")
+    for first, second in ((good, str(bad)), (str(bad), good)):
+        argv = ["define", first, "--compound", second, "--granule", "1", "--mode", "cn"]
+        assert run(capsys, argv) == want
 
 
 def test_undecodable_input_exits_2_alike_from_file_and_stdin(
@@ -591,7 +601,9 @@ def test_undecodable_input_after_a_byte_order_mark_counts_it(capsys, tmp_path) -
 def test_deeply_nested_json_exits_2(capsys, tmp_path) -> None:
     path = tmp_path / "deep.json"
     path.write_text('{"objects": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
-    assert run(capsys, ["validate", str(path)]) == (2, "", "error: JSON nested too deeply\n")
+    assert run(capsys, ["validate", str(path)]) == (
+        2, "", f"error: {path}: JSON nested too deeply\n"
+    )
 
 
 def test_granule_accepts_names_and_indices(capsys) -> None:

@@ -329,7 +329,7 @@ def test_cn_b_choice_takes_the_least_union_by_size_then_member_vector(
         tuple(tuple(i == j for j in range(9)) for i in range(9)),
     )
     want = min(unions, key=lambda y: (y.bit_count(), member_vector(y, 9)))
-    assert _cn_b_choice(ident, unions, 0) == want
+    assert _cn_b_choice(ident, unions) == want
 
 
 def test_cn_b_part_falls_back_to_every_b_extent() -> None:

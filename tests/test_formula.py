@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -138,7 +137,7 @@ def test_builders_match_fresh_atom_reference(
     else:
         ctx = random_cn_context(rng, n_obj, n_att, n_b, 0.4)
         calls = [("conj_disj", (n_att, n_b))]
-    twin = dataclasses.replace(ctx)
+    twin = _equal_and_renamed(ctx)[0]
     for name, widths in calls:
         for _ in range(8):
             index_lists = [_index_list(rng, w) for w in widths]
@@ -238,7 +237,7 @@ def _equal_and_renamed(ctx):
 
 def _hand_built(d):
     """The description rebuilt from fresh, equal atoms."""
-    fresh = lambda atoms: tuple(dataclasses.replace(x) for x in atoms)
+    fresh = lambda atoms: tuple(Atom(x.block, x.index, x.name, x.negated) for x in atoms)
     if isinstance(d, ConjDisj):
         return ConjDisj(fresh(d.conj_atoms), fresh(d.disj_atoms))
     return type(d)(fresh(d.atoms))

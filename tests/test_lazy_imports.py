@@ -3,9 +3,10 @@
 ``import granudesc`` puts every submodule in ``sys.modules`` unrun; the
 first read of a submodule's attribute runs it and binds its public
 names in the package, and each CLI subcommand runs only the modules it
-needs.  A run module is a plain ``ModuleType``; an unrun one is of a
-subclass.  The loading is checked in fresh interpreters, since the test
-session has long since run everything.
+needs, and none loads ``dataclasses`` or ``inspect``.  A run module is a
+plain ``ModuleType``; an unrun one is of a subclass.  The loading is
+checked in fresh interpreters, since the test session has long since
+run everything.
 """
 
 from __future__ import annotations
@@ -180,19 +181,27 @@ _SUBCOMMANDS = {
 }
 
 
+# the records are plain classes: importing ``dataclasses`` (and ``inspect``,
+# which it pulls in) costs each call several milliseconds
+_HEAVY_STDLIB = ["dataclasses", "inspect"]
+
+
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
 def test_a_subcommand_loads_only_what_it_runs(command: str) -> None:
     argv, want = _SUBCOMMANDS[command]
     code = (
         "import contextlib, io, json, os, sys, types\n"
+        f"heavy = {_HEAVY_STDLIB!r}\n"
+        "before = [m for m in heavy if m in sys.modules]\n"
         "from granudesc.cli import main\n"
         "os.chdir(sys.argv[1])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = main(sys.argv[2:])\n"
         "loaded = sorted(m[10:] for m, mod in sys.modules.items()\n"
         "                if m.startswith('granudesc.') and type(mod) is types.ModuleType)\n"
-        "print(json.dumps([status, loaded]))\n"
+        "print(json.dumps([status, loaded, before, [m for m in heavy if m in sys.modules]]))\n"
     )
-    status, loaded = _fresh(code, str(DATA), *argv)
+    status, loaded, before, after = _fresh(code, str(DATA), *argv)
     assert status == 0
     assert loaded == want
+    assert before == after == []

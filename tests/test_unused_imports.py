@@ -1,7 +1,7 @@
 """Every name a package module imports is used in the scope that imports
 it, every module-level private function or class is used somewhere, no
-function calls itself, a description's shape is read in one place and
-derived values are kept one way.
+function calls itself, a description's shape is read in one place,
+derived values are kept one way and no module imports ``dataclasses``.
 
 No linter runs on this package, so this test stands in for the unused
 import and dead code checks.  An import inside a function body must be
@@ -16,6 +16,8 @@ its own instead.
 ``ConjDisj`` apart; everything else reads a description's two parts from
 it.  Values computed on first use go through ``context._once``, never
 ``functools.cached_property``, which takes a lock on its first read.
+Records derive from ``context._Record``: importing ``dataclasses`` pulls
+in ``inspect`` and costs every command-line call several milliseconds.
 """
 
 from __future__ import annotations
@@ -266,3 +268,33 @@ def test_a_cached_property_read_is_found() -> None:
         "    cached_property = None\n"
     )
     assert _cached_property_reads(tree) == {1, 6}
+
+
+def _dataclasses_imports(tree: ast.Module) -> set[int]:
+    """Lines that import ``dataclasses``, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "dataclasses" for alias in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "dataclasses":
+                found.add(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not _dataclasses_imports(tree)
+
+
+def test_a_dataclasses_import_is_found() -> None:
+    tree = ast.parse(
+        "import json, dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "from .dataclasses import local\n"
+        "import dataclasses_json\n\n"
+        "def f():\n    import dataclasses\n    return dataclasses\n"
+    )
+    assert _dataclasses_imports(tree) == {1, 2, 7}
