@@ -420,6 +420,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.input == "-" == getattr(args, "compound", None):
+            raise _CliError("--compound - conflicts with input -: stdin is read once")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

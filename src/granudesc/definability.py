@@ -155,23 +155,20 @@ class _CnRule(_Rule):
     and the b-part above them, as in a flattened compound."""
 
     def minimal(self, t: Any, x: int) -> list[int]:
-        """One transversal search of x per non-empty a-part A of the
-        granule's a-intent, 2^|a-intent| - 1 in all, over the b-columns that
-        stay inside x on A's extent; (A, B) is minimal unless some non-empty
-        A minus one attribute still admits all of B."""
+        """(A, B) is minimal exactly when B is a minimal transversal of x
+        over the b-columns and A a minimal hitting set, within the a-intent,
+        of the objects B lets in outside x, each given by the attributes it
+        lacks: one search for the B, one per B for its A (each single
+        attribute when B lets nothing in)."""
         n = len(t.a_attributes)
         a_int = _intent(t.a_block, x)
-        a_cols, b_cols = t.a_block.column_masks, t.b_block.column_masks
-        outside = {0: t.a_block.full_object_mask & ~x}  # extent(A) minus x, by A
+        base = list(bits(a_int))
+        lacks = [t.a_block.full_object_mask ^ t.a_block.column_masks[j] for j in base]
         hits = []
-        a = 0
-        while a := (a - a_int) & a_int:  # the submasks of a_int, ascending
-            bit = a & -a
-            out = outside[a] = outside[a ^ bit] & a_cols[bit.bit_length() - 1]
-            for b in _kernel.minimal_transversals([0 if c & out else c for c in b_cols], x):
-                u = _possibility(t.b_block, b)
-                if all(u & outside[a ^ 1 << i] for i in bits(a) if a ^ 1 << i):
-                    hits.append(a | b << n)
+        for b in _kernel.minimal_transversals(t.b_block.column_masks, x):
+            forb = _possibility(t.b_block, b) & ~x
+            for a in _kernel.minimal_transversals(lacks, forb):
+                hits.append(mask_of(base[i] for i in bits(a)) | b << n)
         return sorted(
             hits,
             key=lambda s: (s.bit_count(), tuple(bits(s & a_int)), tuple(bits(s >> n))),
@@ -369,7 +366,7 @@ def minimal_descriptions(
 ) -> list[Description]:
     """All inclusion-minimal descriptions of a granule; none when it is
     not definable.  The kernel's cover search lists them as minimal
-    transversals; the cn mode runs one search per a-part.
-    """
+    transversals; cn runs one search for the b-parts, then one per b-part
+    for its a-parts."""
     rule, t, x = _enter(Mode(mode), ctx, objects, "minimal_descriptions")
     return [_self_check(ctx, x, rule.build(ctx, s)) for s in rule.minimal(t, x)]

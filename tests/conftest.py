@@ -66,6 +66,25 @@ def random_cn_context(
     return make_cn_context(a, b)
 
 
+# The granule of ``wide_cn``: object 22 carries 21 of the 24 a-attributes,
+# the most of any object.  Its 715 minimal cn descriptions were checked
+# once, equal in order, against ``oracles.cn_minimal_a_part_loop``, which
+# takes about a minute on them.
+WIDE_CN_OBJECT = 21
+WIDE_CN_MINIMAL = 715
+
+
+@pytest.fixture(scope="session")
+def wide_cn() -> CompoundContext:
+    """A 40-object compound with a wide a-block: 24 a-attributes at density
+    0.6 and 12 b-attributes at 0.3."""
+    rng = random.Random(5)
+    a = random_context(rng, 40, 24, 0.6)
+    b_rows = tuple(tuple(rng.random() < 0.3 for _ in range(12)) for _ in range(40))
+    b = FormalContext(a.objects, tuple(f"b{j + 1}" for j in range(12)), b_rows)
+    return make_cn_context(a, b)
+
+
 @pytest.fixture(scope="session")
 def table1() -> FormalContext:
     return parse_context(load_text("table1.cxt"))

@@ -19,7 +19,9 @@ search per fixed point), ``vee_verdict_via_complement`` (disjunctive
 definability decided on the complemented table),
 ``minimal_subsets_scan`` and ``cn_minimal_scan`` (minimal descriptions
 found by trying every subset of the search base; ``minimal_descriptions_scan``
-builds their descriptions), ``FRESH_BUILDERS``
+builds their descriptions), ``cn_minimal_a_part_loop`` (minimal cn
+descriptions by one transversal search per subset of the a-intent),
+``FRESH_BUILDERS``
 (the description builders making new atoms on every call and passing
 them through the validating constructors) and
 ``parse_description_scanner`` (the token scanner the one-pass
@@ -588,6 +590,33 @@ def cn_minimal_scan(cctx: CompoundContext, x: int) -> list[int]:
     return sorted(
         hits,
         key=lambda s: (s.bit_count(), tuple(bits(s & low)), tuple(bits(s >> n))),
+    )
+
+
+def cn_minimal_a_part_loop(cctx: CompoundContext, x: int) -> list[int]:
+    """Minimal two-part descriptions as flattened masks, in the order of
+    ``cn_minimal_scan``: one transversal search of x per non-empty a-part
+    A of the granule's a-intent, 2^|a-intent| - 1 in all, over the
+    b-columns that stay inside x on A's extent; (A, B) is minimal unless
+    some non-empty A minus one attribute still admits all of B.  The loop
+    the two-search characterisation in ``minimal_descriptions`` replaced.
+    """
+    n = len(cctx.a_attributes)
+    a_int = _intent(cctx.a_block, x)
+    a_cols, b_cols = cctx.a_block.column_masks, cctx.b_block.column_masks
+    outside = {0: cctx.a_block.full_object_mask & ~x}  # extent(A) minus x, by A
+    hits = []
+    a = 0
+    while a := (a - a_int) & a_int:  # the submasks of a_int, ascending
+        bit = a & -a
+        out = outside[a] = outside[a ^ bit] & a_cols[bit.bit_length() - 1]
+        for b in _kernel.minimal_transversals([0 if c & out else c for c in b_cols], x):
+            u = _join(b_cols, b)
+            if all(u & outside[a ^ 1 << i] for i in bits(a) if a ^ 1 << i):
+                hits.append(a | b << n)
+    return sorted(
+        hits,
+        key=lambda s: (s.bit_count(), tuple(bits(s & a_int)), tuple(bits(s >> n))),
     )
 
 

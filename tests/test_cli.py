@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from granudesc import FormalContext, make_cn_context, serialize_compound, serialize_context
 from granudesc.cli import main
 
-from .conftest import DATA
+from .conftest import DATA, WIDE_CN_MINIMAL, WIDE_CN_OBJECT
 
 TABLE1 = str(DATA / "table1.cxt")
 TABLE6 = str(DATA / "table6.cxt")
@@ -341,6 +341,20 @@ def test_define_minimal_listing(capsys) -> None:
     assert json.loads(out)["minimal"] == ["a3 ∧ a4", "a3 ∧ a5"]
 
 
+def test_define_minimal_cn_over_a_wide_a_block(capsys, tmp_path, wide_cn) -> None:
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_compound(wide_cn), encoding="utf-8")
+    code, out, _ = run(
+        capsys,
+        [
+            "define", str(path), "--granule", wide_cn.objects[WIDE_CN_OBJECT],
+            "--mode", "cn", "--format", "json", "--minimal",
+        ],
+    )
+    assert code == 0
+    assert len(json.loads(out)["minimal"]) == WIDE_CN_MINIMAL
+
+
 def test_define_json_indefinable_payload(capsys) -> None:
     code, out, _ = run(
         capsys, ["define", TABLE1, "--granule", "1,2", "--mode", "wedge"]
@@ -536,6 +550,23 @@ def test_stdin_dash_input(capsys, monkeypatch) -> None:
         ["define", "-", "--granule", "2,7", "--mode", "wedge", "--format", "text"],
     )
     assert code == 0 and out == "definable: a1 ∧ a2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["define", "-", "--compound", "-", "--granule", "1", "--mode", "cn"],
+        ["concepts", "-", "--compound", "-", "--variant", "cn"],
+    ],
+)
+def test_compound_from_stdin_when_the_input_is_stdin(capsys, monkeypatch, argv) -> None:
+    # stdin holds one table; a second read would find it empty and blame
+    # the valid input, so the pair is refused before either read
+    stdin = _stdin_of((DATA / "table1.cxt").read_bytes())
+    monkeypatch.setattr(sys, "stdin", stdin)
+    err = "error: --compound - conflicts with input -: stdin is read once\n"
+    assert run(capsys, argv) == (2, "", err)
+    assert stdin.buffer.tell() == 0
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from granudesc import (
     appose_negation,
     cn_intent,
     compound_extent,
+    conj_disj,
     evaluate,
     find_covering_elements,
     intersect_descriptions,
@@ -31,9 +32,17 @@ from granudesc import (
     union_vee_descriptions,
     upper_cn,
 )
+from granudesc import _kernel
+from granudesc._bits import bits
 
 from . import oracles
-from .conftest import objs, random_cn_context, random_context
+from .conftest import (
+    WIDE_CN_MINIMAL,
+    WIDE_CN_OBJECT,
+    objs,
+    random_cn_context,
+    random_context,
+)
 
 
 def _subset(rng: random.Random, n: int) -> frozenset[int]:
@@ -540,6 +549,61 @@ def test_minimal_descriptions_match_subset_scan(
     if x:
         want = oracles.minimal_descriptions_scan(cctx, x, "cn")
         assert minimal_descriptions(cctx, xs, "cn") == want
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_obj=st.integers(1, 14),
+    n_a=st.integers(1, 8),
+    n_b=st.integers(1, 8),
+    density=st.sampled_from([0.2, 0.5, 0.8]),
+    kind=st.sampled_from(["random", "cn"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_minimal_cn_descriptions_match_the_a_part_loop(
+    seed: int, n_obj: int, n_a: int, n_b: int, density: float, kind: str
+) -> None:
+    """The two transversal searches give the per-a-part loop's lists,
+    order included, at sizes a scan of every subset cannot reach."""
+    rng = random.Random(seed)
+    cctx = random_cn_context(rng, n_obj, n_a, n_b, density)
+    if kind == "cn":
+        a = _granule_for(rng, list(cctx.a_block.column_masks), n_obj, "meet")
+        x = a & _granule_for(rng, list(cctx.b_block.column_masks), n_obj, "union")
+    else:
+        x = rng.getrandbits(n_obj)
+    x = x or 1 << rng.randrange(n_obj)
+    want = [
+        conj_disj(cctx, bits(s & ((1 << n_a) - 1)), bits(s >> n_a))
+        for s in oracles.cn_minimal_a_part_loop(cctx, x)
+    ]
+    assert minimal_descriptions(cctx, bits(x), "cn") == want
+
+
+def test_minimal_cn_descriptions_over_a_wide_a_block(wide_cn, monkeypatch) -> None:
+    # the granule's a-intent holds 21 attributes, so a search per subset of
+    # it would run 2^21 - 1 times; here one runs for the b-parts and one
+    # per b-part
+    x = frozenset({WIDE_CN_OBJECT})
+    assert sum(wide_cn.a_incidence[WIDE_CN_OBJECT]) == 21
+    searches = []
+    search = _kernel.minimal_transversals
+    monkeypatch.setattr(
+        _kernel, "minimal_transversals", lambda *a: searches.append(a) or search(*a)
+    )
+    found = minimal_descriptions(wide_cn, x, "cn")
+    monkeypatch.undo()
+    assert len(found) == WIDE_CN_MINIMAL
+    assert len(searches) <= 1 + len({d.disj_atoms for d in found})
+    for d in found:
+        assert evaluate(wide_cn, d) == x
+        a = [t.index for t in d.conj_atoms]
+        b = [t.index for t in d.disj_atoms]
+        # each part stays non-empty; dropping any other atom changes the set
+        shorter = [([j for j in a if j != i], b) for i in a if len(a) > 1]
+        shorter += [(a, [j for j in b if j != i]) for i in b if len(b) > 1]
+        for sa, sb in shorter:
+            assert evaluate(wide_cn, conj_disj(wide_cn, sa, sb)) != x
 
 
 def test_minimal_descriptions_unknown_mode(table1) -> None:
