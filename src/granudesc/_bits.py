@@ -17,6 +17,15 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def flags_mask(flags: Iterable[bool]) -> int:
+    """The mask with bit i set where flag i is true (one flag or more),
+    read by ``int`` in C from the flags as binary digits, highest first."""
+    return int(bytes(flags).translate(_FLAG_DIGITS)[::-1], 2)
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield set bit positions in ascending order."""
     while mask:

@@ -349,7 +349,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     else:
         table = loaded
         shape = f"{loaded.n_objects} objects, {loaded.n_attributes} attributes"
-    cells = sum(sum(row) for row in table.incidence)
+    cells = sum(m.bit_count() for m in table.row_masks)
     sys.stdout.write(f"ok: {shape}, {cells} incidences\n")
     return EXIT_OK
 

@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
+from itertools import chain, compress
+from operator import add, eq, not_
 
-from granudesc._bits import mask_of
+from granudesc._bits import flags_mask
 from granudesc.errors import ContextFormatError
 
 ObjectSet = frozenset[int]
 AttributeSet = frozenset[int]
-
-
-def _freeze_rows(rows: Iterable[Iterable[object]]) -> tuple[tuple[bool, ...], ...]:
-    return tuple(tuple(bool(v) for v in row) for row in rows)
 
 
 class _once:
@@ -117,18 +115,18 @@ class FormalContext(_Record):
         d = self.__dict__
         d["objects"] = objects = tuple(objects)
         d["attributes"] = attributes = tuple(attributes)
-        d["incidence"] = incidence = _freeze_rows(incidence)
+        d["incidence"] = incidence = tuple([tuple(map(bool, row)) for row in incidence])
         _check_names(objects, "object")
         _check_names(attributes, "attribute")
         if len(incidence) != len(objects):
             raise ContextFormatError(
                 f"expected {len(objects)} incidence rows, got {len(incidence)}"
             )
-        for i, row in enumerate(incidence):
-            if len(row) != len(attributes):
-                raise ContextFormatError(
-                    f"row {i + 1} has {len(row)} cells, expected {len(attributes)}"
-                )
+        if set(map(len, incidence)) - {len(attributes)}:
+            i, row = next((i, r) for i, r in enumerate(incidence) if len(r) != len(attributes))
+            raise ContextFormatError(
+                f"row {i + 1} has {len(row)} cells, expected {len(attributes)}"
+            )
 
     @property
     def n_objects(self) -> int:
@@ -141,30 +139,22 @@ class FormalContext(_Record):
     @_once
     def row_masks(self) -> tuple[int, ...]:
         """Per object, the mask of its attributes."""
-        return tuple(
-            mask_of(j for j, v in enumerate(row) if v) for row in self.incidence
-        )
+        return tuple(map(flags_mask, self.incidence))
 
     @_once
     def column_masks(self) -> tuple[int, ...]:
         """Per attribute, the mask of objects having it."""
-        return tuple(
-            mask_of(i for i in range(self.n_objects) if self.incidence[i][j])
-            for j in range(self.n_attributes)
-        )
+        return tuple(map(flags_mask, zip(*self.incidence)))
 
     @_once
     def column_union(self) -> int:
         """The mask of objects having some attribute."""
-        union = 0
-        for col in self.column_masks:
-            union |= col
-        return union
+        return flags_mask(map(any, self.incidence))
 
     @_once
     def empty_columns(self) -> int:
         """The mask of attributes no object has."""
-        return mask_of(j for j, col in enumerate(self.column_masks) if not col)
+        return flags_mask(map(not_, self.column_masks))
 
     @property
     def full_object_mask(self) -> int:
@@ -205,32 +195,33 @@ class CompoundContext(_Record):
         b_incidence: tuple[tuple[bool, ...], ...],
         flavor: Flavor,
     ) -> None:
+        # the blocks check their own shapes; the compound shares their fields
+        a = FormalContext(objects, a_attributes, a_incidence)
+        b = FormalContext(a.objects, b_attributes, b_incidence)
         d = self.__dict__
-        d["objects"] = tuple(objects)
-        d["a_attributes"] = tuple(a_attributes)
-        d["b_attributes"] = tuple(b_attributes)
-        d["a_incidence"] = _freeze_rows(a_incidence)
-        d["b_incidence"] = _freeze_rows(b_incidence)
-        d["flavor"] = flavor
-        # block-level shape checks are delegated to the FormalContext views
-        self.a_block, self.b_block
-        overlap = set(self.a_attributes) & set(self.b_attributes)
+        d["objects"], d["a_attributes"], d["b_attributes"] = a.objects, a.attributes, b.attributes
+        d["a_incidence"], d["b_incidence"], d["flavor"] = a.incidence, b.incidence, flavor
+        d["a_block"], d["b_block"] = a, b
+        overlap = set(a.attributes) & set(b.attributes)
         if overlap:
             raise ContextFormatError(
                 f"attribute names shared between blocks: {sorted(overlap)!r}"
             )
-        if self.flavor is Flavor.THREE_WAY:
-            if len(self.a_attributes) != len(self.b_attributes):
+        if flavor is Flavor.THREE_WAY:
+            if len(a.attributes) != len(b.attributes):
                 raise ContextFormatError(
                     "a three-way compound needs equally sized blocks"
                 )
-            for i in range(len(self.objects)):
-                for k in range(len(self.a_attributes)):
-                    if self.a_incidence[i][k] == self.b_incidence[i][k]:
-                        raise ContextFormatError(
-                            "three-way blocks must be complementary; "
-                            f"object {i + 1}, attribute pair {k + 1} is not"
-                        )
+            # the row-major index of the first cell equal in both blocks
+            width = len(a.attributes)
+            cells = chain.from_iterable(a.incidence), chain.from_iterable(b.incidence)
+            same = next(compress(range(len(a.objects) * width), map(eq, *cells)), None)
+            if same is not None:
+                i, k = divmod(same, width)
+                raise ContextFormatError(
+                    "three-way blocks must be complementary; "
+                    f"object {i + 1}, attribute pair {k + 1} is not"
+                )
 
     @_once
     def a_block(self) -> FormalContext:
@@ -243,10 +234,7 @@ class CompoundContext(_Record):
     @_once
     def flattened(self) -> FormalContext:
         """Single table with the b-block columns appended after the a-block."""
-        rows = tuple(
-            tuple(self.a_incidence[i]) + tuple(self.b_incidence[i])
-            for i in range(len(self.objects))
-        )
+        rows = map(add, self.a_incidence, self.b_incidence)
         return FormalContext(self.objects, self.a_attributes + self.b_attributes, rows)
 
     @property
@@ -254,18 +242,26 @@ class CompoundContext(_Record):
         return len(self.objects)
 
 
-def _check_names(names: Sequence[str], kind: str) -> None:
+def _check_names(names: Sequence[str], kind: str, line: int | None = None) -> None:
+    """Refuse the first empty, multi-line or repeated name, in order, at
+    its own line when ``line``, the first name's, is given.  The names are
+    walked only when one bulk test finds a fault."""
     if not names:
         raise ContextFormatError(f"a context needs at least one {kind}")
+    joined = "".join(names)
+    if "\n" not in joined and "\r" not in joined and "" not in names:
+        if len(set(names)) == len(names):
+            return
     seen: dict[str, int] = {}
     for idx, name in enumerate(names):
+        at = line and line + idx
         if not name:
-            raise ContextFormatError(f"{kind} {idx + 1} has an empty name")
+            raise ContextFormatError(f"{kind} {idx + 1} has an empty name", at)
         if "\n" in name or "\r" in name:
-            raise ContextFormatError(f"{kind} name {name!r} contains a newline")
+            raise ContextFormatError(f"{kind} name {name!r} contains a newline", at)
         if name in seen:
             raise ContextFormatError(
-                f"duplicate {kind} name {name!r} (positions {seen[name] + 1} and {idx + 1})"
+                f"duplicate {kind} name {name!r} (positions {seen[name] + 1} and {idx + 1})", at
             )
         seen[name] = idx
 
@@ -278,6 +274,8 @@ def _check_names(names: Sequence[str], kind: str) -> None:
 # line 5: blank; then object names, attribute names and one row of
 # 'X'/'.' cells per object.  Trailing newline optional on input; CRLF
 # line ends are accepted.
+
+_CXT_CELLS = bytes.maketrans(b"X.", b"\1\0")  # a checked row, as 0/1 bytes
 
 
 def _parse_cxt(text: str) -> FormalContext:
@@ -311,33 +309,34 @@ def _parse_cxt(text: str) -> FormalContext:
         raise ContextFormatError("expected a blank line after the counts", line=5)
 
     base = 5
-    objects = [need(base + i, "an object name") for i in range(n_obj)]
-    attributes = [need(base + n_obj + k, "an attribute name") for k in range(n_att)]
-    rows = []
     row_base = base + n_obj + n_att
-    for i in range(n_obj):
-        raw = need(row_base + i, "an incidence row")
+    if len(lines) < row_base:
+        need(len(lines), "an object name" if len(lines) < base + n_obj else "an attribute name")
+    objects, attributes = lines[base:base + n_obj], lines[base + n_obj:row_base]
+    rows = []
+    for at, raw in enumerate(lines[row_base:row_base + n_obj], row_base + 1):
         if len(raw) != n_att:
             raise ContextFormatError(
-                f"incidence row has {len(raw)} cells, expected {n_att}",
-                line=row_base + i + 1,
+                f"incidence row has {len(raw)} cells, expected {n_att}", line=at
             )
-        bad = next((col for col, ch in enumerate(raw) if ch not in "X."), None)
-        if bad is not None:
+        bad = raw.lstrip("X.")  # from the first cell that is neither
+        if bad:
             raise ContextFormatError(
-                f"illegal incidence character {raw[bad]!r}",
-                line=row_base + i + 1,
-                column=bad + 1,
+                f"illegal incidence character {bad[0]!r}", line=at, column=n_att - len(bad) + 1
             )
-        rows.append(tuple(ch == "X" for ch in raw))
+        rows.append(raw.encode().translate(_CXT_CELLS))
+    if len(rows) < n_obj:
+        need(len(lines), "an incidence row")
     extra = row_base + n_obj
     if extra < len(lines):
         raise ContextFormatError("unexpected trailing content", line=extra + 1)
     try:
-        return FormalContext(tuple(objects), tuple(attributes), tuple(rows))
-    except ContextFormatError as exc:
-        # name-level problems: point at the name section
-        raise ContextFormatError(exc.message, line=base + 1) from None
+        return FormalContext(objects, attributes, rows)
+    except ContextFormatError:
+        # a name fault: find it again, at its own line
+        _check_names(objects, "object", base + 1)
+        _check_names(attributes, "attribute", base + n_obj + 1)
+        raise
 
 
 def _serialize_cxt(ctx: FormalContext) -> str:
@@ -368,24 +367,22 @@ def _load_json(text: str) -> dict:
 
 def _json_names(data: dict, key: str) -> tuple[str, ...]:
     value = data.get(key)
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    if not isinstance(value, list) or not {str}.issuperset(map(type, value)):
         raise ContextFormatError(f"field {key!r} must be a list of strings")
     return tuple(value)
 
 
-def _json_rows(data: dict, key: str) -> tuple[tuple[bool, ...], ...]:
+def _json_rows(data: dict, key: str) -> list[list[int]]:
     value = data.get(key)
     if not isinstance(value, list):
         raise ContextFormatError(f"field {key!r} must be a list of rows")
-    rows = []
     for i, row in enumerate(value):
         # 1.0 == 1 in Python, so the type is checked too (bool is an int)
-        if not isinstance(row, list) or not all(
-            isinstance(v, int) and v in (0, 1) for v in row
+        if not isinstance(row, list) or not (
+            {int, bool}.issuperset(map(type, row)) and {0, 1}.issuperset(row)
         ):
             raise ContextFormatError(f"field {key!r}, row {i + 1} must hold 0/1 cells")
-        rows.append(tuple(bool(v) for v in row))
-    return tuple(rows)
+    return value
 
 
 def _context_from_json(data: dict) -> FormalContext:
@@ -486,7 +483,7 @@ def complement_context(ctx: FormalContext, prefix: str = "not_") -> FormalContex
     The prefix toggles: applying the complement twice restores the
     original names along with the original incidence.
     """
-    rows = tuple(tuple(not v for v in row) for row in ctx.incidence)
+    rows = [map(not_, row) for row in ctx.incidence]
     names = tuple(
         a[len(prefix):] if prefix and a.startswith(prefix) else prefix + a
         for a in ctx.attributes

@@ -25,8 +25,10 @@ descriptions by one transversal search per subset of the a-intent),
 (the description builders making new atoms on every call and passing
 them through the validating constructors) and
 ``parse_description_scanner`` (the token scanner the one-pass
-description reader replaced) and ``frozen_twin`` (a record as the frozen
-dataclass the records were before ``context._Record``).  Sizes are desk
+description reader replaced), ``frozen_twin`` (a record as the frozen
+dataclass the records were before ``context._Record``) and
+``masks_per_cell`` (a table's masks built one cell at a time, as before
+the bulk ingest).  Sizes are desk
 scale; nothing here is meant to be fast.
 """
 
@@ -84,6 +86,25 @@ def column_extents(
         frozenset(i for i, row in enumerate(incidence) if row[j])
         for j in range(width)
     ]
+
+
+def masks_per_cell(
+    incidence: tuple[tuple[bool, ...], ...],
+) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """The row masks, column masks, column union and empty columns of a
+    table with at least one row, built as ``FormalContext`` built them
+    before its bulk ingest: one cell at a time, each column read by
+    indexing every row."""
+    n_objects, n_attributes = len(incidence), len(incidence[0])
+    rows = tuple(mask_of(j for j, v in enumerate(row) if v) for row in incidence)
+    cols = tuple(
+        mask_of(i for i in range(n_objects) if incidence[i][j])
+        for j in range(n_attributes)
+    )
+    union = 0
+    for col in cols:
+        union |= col
+    return rows, cols, union, mask_of(j for j, col in enumerate(cols) if not col)
 
 
 def doubled_columns(incidence: tuple[tuple[bool, ...], ...]) -> list[frozenset[int]]:

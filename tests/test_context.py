@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from granudesc import (
     serialize_context,
 )
 
-from .conftest import load_text, random_context
+from .conftest import load_text, random_cn_context, random_context
+from .oracles import masks_per_cell
 
 TABLE1_ROWS = (".XX..", "XX...", "X....", "....X", "...XX", "..XXX", "XXX..")
 TABLE4_ROWS = ("X..XX", "..XXX", ".XXXX", "XXXX.", "XXX..", "XX...", "...XX")
@@ -82,6 +84,13 @@ def test_one_by_one_round_trip() -> None:
         (lambda t: t.replace(".XX..", ".XX.", 1), 18, None),
         (lambda t: t.replace(".XX..", ".XZ..", 1), 18, 3),
         (lambda t: t + "junk\n", 25, None),
+        # the first fault in line order wins: a short row before a bad
+        # character, a bad character before truncation (the last row cut)
+        # or trailing content, and any row fault before a name fault
+        (lambda t: t.replace(".XX..", ".XX.", 1).replace("XX...", "XZ...", 1), 18, None),
+        (lambda t: t.replace(".XX..", ".XZ..", 1)[: -len("XXX..\n")], 18, 3),
+        (lambda t: t.replace(".XX..", ".XZ..", 1) + "junk\n", 18, 3),
+        (lambda t: t.replace("\n2\n", "\n1\n", 1).replace(".XX..", ".XZ..", 1), 18, 3),
     ],
 )
 def test_cxt_parse_errors_report_position(mangle, line, column) -> None:
@@ -89,6 +98,42 @@ def test_cxt_parse_errors_report_position(mangle, line, column) -> None:
         parse_context(mangle(load_text("table1.cxt")))
     assert err.value.line == line
     assert err.value.column == column
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("B\n\n2\n1\n\no1\no1\na1\nX\n.\n", 7, "duplicate object name 'o1' (positions 1 and 2)"),
+        (
+            "B\n\n2\n2\n\no1\no2\na1\na1\nXX\n..\n",
+            9,
+            "duplicate attribute name 'a1' (positions 1 and 2)",
+        ),
+        ("B\n\n2\n1\n\no1\n\na1\nX\n.\n", 7, "object 2 has an empty name"),
+        ("B\n\n1\n2\n\no1\na1\n\nX.\n", 8, "attribute 2 has an empty name"),
+        # "\r\r\n" is a lone CR, then a line end
+        ("B\n\n2\n1\n\no1\n\r\r\na1\nX\n.\n", 7, "object name '\\r' contains a newline"),
+        ("B\n\n1\n2\n\no1\na1\na\r2\nX.\n", 8, "attribute name 'a\\r2' contains a newline"),
+    ],
+)
+def test_cxt_name_faults_report_the_name_line(text: str, line: int, message: str) -> None:
+    # for a repeated name, the line of its second occurrence
+    with pytest.raises(ContextFormatError) as err:
+        parse_context(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, None, message)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ('"objects": ["o1", "o1"], "attributes": ["a1"]', "duplicate object name 'o1'"),
+        ('"objects": ["o1", "o2"], "attributes": ["", "a2"]', "attribute 1 has an empty name"),
+    ],
+)
+def test_json_name_faults_have_no_line(names: str, message: str) -> None:
+    with pytest.raises(ContextFormatError, match=message) as err:
+        parse_context("{" + names + ', "incidence": [[1, 0], [0, 1]]}')
+    assert err.value.line is None
 
 
 def _two_by_one_cxt(object_count: str) -> str:
@@ -167,10 +212,46 @@ def test_cxt_with_crlf_line_ends_parses_like_lf(table1: FormalContext) -> None:
 def test_json_cells_must_be_integer_or_boolean() -> None:
     shape = '{{"objects": ["1", "2"], "attributes": ["a"], "incidence": [[{}], [{}]]}}'
     assert parse_context(shape.format(1, 0)) == parse_context(shape.format("true", "false"))
-    for cell in ("1.0", "0.0", '"1"', "null"):
+    for cell in ("1.0", "0.0", '"1"', "null", "[1]"):
         with pytest.raises(ContextFormatError) as err:
             parse_context(shape.format(cell, 0))
         assert str(err.value) == "field 'incidence', row 1 must hold 0/1 cells"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "[[1], [1.0], [2]]",  # a bad type before a bad value
+        "[[1], [2], [1.0]]",  # a bad value before a bad type
+        "[[0], 1, [2]]",  # a row that is no list
+        '[[0], {"0": 1}, [1]]',
+        '[[0], "1", [1]]',
+    ],
+)
+def test_json_rows_report_the_first_bad_row(rows: str) -> None:
+    text = '{"objects": ["1", "2", "3"], "attributes": ["a"], "incidence": ' + rows + "}"
+    with pytest.raises(ContextFormatError) as err:
+        parse_context(text)
+    assert str(err.value) == "field 'incidence', row 2 must hold 0/1 cells"
+
+
+def test_three_way_reports_the_first_pair_that_is_not_complementary() -> None:
+    # object 2 fails at pair 3 and object 3 at pair 1: objects come first
+    a = [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+    b = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    text = json.dumps({
+        "objects": ["1", "2", "3"],
+        "a_attributes": ["a1", "a2", "a3"],
+        "b_attributes": ["b1", "b2", "b3"],
+        "a_incidence": a,
+        "b_incidence": b,
+        "flavor": "three_way",
+    })
+    with pytest.raises(ContextFormatError) as err:
+        parse_compound(text)
+    assert str(err.value) == (
+        "three-way blocks must be complementary; object 2, attribute pair 3 is not"
+    )
 
 
 def test_constructor_rejects_bad_shapes() -> None:
@@ -255,3 +336,62 @@ def test_random_round_trips(n_obj: int, n_att: int, density: float, seed: int) -
     cctx = appose_negation(ctx)
     assert parse_compound(serialize_compound(cctx)) == cctx
     assert cctx.a_block == ctx
+
+
+@given(
+    n_obj=st.sampled_from([1, 63, 64, 65]) | st.integers(1, 70),
+    n_att=st.sampled_from([1, 63, 64, 65]) | st.integers(1, 70),
+    density=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_masks_equal_the_per_cell_builder(
+    n_obj: int, n_att: int, density: float, seed: int
+) -> None:
+    rng = random.Random(seed)
+    ctx = random_context(rng, n_obj, n_att, density)
+    cn = random_cn_context(rng, n_obj, n_att, max(1, n_att // 2), density)
+    three_way = appose_negation(ctx)
+    for table in (ctx, cn.a_block, cn.b_block, cn.flattened, three_way.b_block, three_way.flattened):
+        masks = table.row_masks, table.column_masks, table.column_union, table.empty_columns
+        assert masks == masks_per_cell(table.incidence)
+
+
+def _ingest(text: str) -> None:
+    """Parse a table and build every mask, as the benchmarks' set-up does."""
+    if '"flavor"' in text:
+        cctx = parse_compound(text)
+        tables = (cctx.a_block, cctx.b_block, cctx.flattened)
+    else:
+        tables = (parse_context(text),)
+    for table in tables:
+        table.row_masks, table.column_masks, table.column_union, table.empty_columns
+
+
+def _python_calls(fn) -> int:
+    """The Python-level calls ``fn()`` makes, each resumption of a
+    generator counting as one; a count, so no clock is read."""
+    calls = 0
+
+    def profile(frame, event, arg) -> None:
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_ingest_makes_no_python_call_per_cell() -> None:
+    # a per-cell generator or helper would make about n * m = 90,000 calls
+    n = m = 300
+    ctx = random_context(random.Random(7), n, m, 0.5)
+    cctx = appose_negation(random_context(random.Random(8), n, m // 2, 0.5))
+    texts = serialize_context(ctx), serialize_context(ctx, "json"), serialize_compound(cctx)
+    for text in texts:
+        _ingest(text)  # the first call may import
+        assert _python_calls(lambda: _ingest(text)) < 10 * (n + m)

@@ -3,7 +3,8 @@
 On the 1,200 x 1,200 identity table each search below adds one candidate
 per object of the granule, one after another, on a single branch.  Each
 input has one answer; a search that kept its nodes on the interpreter
-stack would stop at the recursion limit instead.
+stack would stop at the recursion limit instead.  The table's masks,
+built in bulk, are checked against the per-cell builder too.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from granudesc import (
 )
 from granudesc.cli import main
 
+from .oracles import masks_per_cell
+
 N = 1200
 
 
@@ -43,6 +46,13 @@ def wide(tmp_path_factory) -> dict:
         paths[key] = folder / f"{key}.cxt"
         paths[key].write_text(serialize_context(ctx), encoding="utf-8")
     return {"identity": identity, "with_all": with_all, "paths": paths}
+
+
+def test_masks_of_the_identity_table_equal_the_per_cell_builder(wide) -> None:
+    identity = wide["identity"]
+    masks = identity.row_masks, identity.column_masks, identity.column_union, identity.empty_columns
+    assert masks == masks_per_cell(identity.incidence)
+    assert identity.column_masks == tuple(1 << i for i in range(N))
 
 
 def test_minimal_vee_description_of_1199_objects(wide) -> None:
