@@ -84,16 +84,48 @@ def test_one_by_one_round_trip() -> None:
         (lambda t: t.replace(".XX..", ".XX.", 1), 18, None),
         (lambda t: t.replace(".XX..", ".XZ..", 1), 18, 3),
         (lambda t: t + "junk\n", 25, None),
-        # the first fault in line order wins: a short row before a bad
-        # character, a bad character before truncation (the last row cut)
-        # or trailing content, and any row fault before a name fault
-        (lambda t: t.replace(".XX..", ".XX.", 1).replace("XX...", "XZ...", 1), 18, None),
-        (lambda t: t.replace(".XX..", ".XZ..", 1)[: -len("XXX..\n")], 18, 3),
-        (lambda t: t.replace(".XX..", ".XZ..", 1) + "junk\n", 18, 3),
-        (lambda t: t.replace("\n2\n", "\n1\n", 1).replace(".XX..", ".XZ..", 1), 18, 3),
     ],
 )
 def test_cxt_parse_errors_report_position(mangle, line, column) -> None:
+    with pytest.raises(ContextFormatError) as err:
+        parse_context(mangle(load_text("table1.cxt")))
+    assert err.value.line == line
+    assert err.value.column == column
+
+
+@pytest.mark.parametrize(
+    "mangle, line, column",
+    [
+        pytest.param(
+            lambda t: t.replace(".XX..", ".XX.", 1).replace("XX...", "XZ...", 1),
+            18,
+            None,
+            id="short-row-before-bad-character",
+        ),
+        pytest.param(
+            lambda t: t.replace(".XX..", ".XZ..", 1)[: -len("XXX..\n")],
+            18,
+            3,
+            id="bad-character-before-truncation",
+        ),
+        pytest.param(
+            lambda t: t.replace(".XX..", ".XZ..", 1) + "junk\n",
+            18,
+            3,
+            id="bad-character-before-trailing-content",
+        ),
+        pytest.param(
+            lambda t: t.replace("\n2\n", "\n1\n", 1).replace(".XX..", ".XZ..", 1),
+            18,
+            3,
+            id="row-fault-before-name-fault",
+        ),
+    ],
+)
+def test_cxt_first_fault_in_line_order_wins(mangle, line, column) -> None:
+    # a short row before a bad character, a bad character before truncation
+    # (the last row cut) or trailing content, and any row fault before a
+    # name fault
     with pytest.raises(ContextFormatError) as err:
         parse_context(mangle(load_text("table1.cxt")))
     assert err.value.line == line
