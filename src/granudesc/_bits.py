@@ -84,17 +84,14 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
-def member_vector(mask: int, width: int) -> str:
-    """Membership string, index 0 first: "1" where the bit is set.
-
-    The order key for lexicographic ties.  Strings of one width compare
-    character by character, so two masks below ``1 << width`` order by
-    their lowest differing bit, the mask holding it last.
-    """
-    return format(mask, f"0{width}b")[::-1]
-
-
-def concept_key(mask: int, width: int) -> tuple[int, str]:
-    """Concept order, sorted descending: by size, then holding the lowest
-    differing object first, as ``Concept.sort_key`` lists extents."""
-    return mask.bit_count(), member_vector(mask, width)
+def concept_order(masks: Iterable[int], width: int) -> list[int]:
+    """Distinct masks below ``1 << width`` in concept order, the order in
+    which ``Concept.sort_key`` lists extents: larger first, then holding
+    the lowest differing object first.  Two stable sorts, both
+    descending: by the membership string, bit 0 first (of two strings of
+    one width, the greater holds the lowest bit where they differ), then
+    by size."""
+    fmt = f"0{width}b"
+    order = sorted(masks, key=lambda m: format(m, fmt)[::-1], reverse=True)
+    order.sort(key=int.bit_count, reverse=True)
+    return order

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from granudesc._bits import bits, concept_key
+from granudesc._bits import bits, concept_order
 
 
 def backend_name() -> str:
@@ -24,19 +24,22 @@ def formal_concepts(cols: Sequence[int], n_objects: int) -> list[tuple[int, int]
     intersection of the columns of its intent (all objects for the empty
     intent), and every such intersection is an extent, so meeting each
     column in turn with the extents found so far yields exactly the
-    extents, each once.  The pairs come in concept order, the order of
-    ``Concept.sort_key``: sorted descending by ``concept_key(extent,
-    n_objects)``, so the top concept comes first and the bottom last.
+    extents, each once.  The same pass collects each extent's intent:
+    meeting column j with extent e adds e's intent so far and j to the
+    intent of ``f = e & cols[j]``.  An earlier column k holding f is in
+    that intent too, as ``e & cols[k]`` was found before column j and
+    meets it in f with k in its intent.  The pairs come in concept order
+    (``_bits.concept_order``), so the top concept comes first and the
+    bottom last.
     """
-    exts = {(1 << n_objects) - 1}
-    for c in cols:
-        exts |= {e & c for e in exts}
-    order = sorted(exts, key=lambda e: concept_key(e, n_objects), reverse=True)
-    intents = [0] * len(order)
+    found = {(1 << n_objects) - 1: 0}  # extent -> its intent so far
+    get = found.get
     for j, c in enumerate(cols):
         bit = 1 << j
-        intents = [a | bit if e & c == e else a for e, a in zip(order, intents)]
-    return list(zip(order, intents))
+        for e, a in list(found.items()):
+            f = e & c
+            found[f] = get(f, 0) | a | bit
+    return [(e, found[e]) for e in concept_order(found, n_objects)]
 
 
 def minimal_cover_unions(cands: Sequence[int], target: int, strict: bool = False) -> list[int]:

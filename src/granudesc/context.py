@@ -30,11 +30,13 @@ class _once:
     """A method turned into an attribute computed on first use.
 
     The value goes into the instance ``__dict__``, which shadows this
-    non-data descriptor from then on; it is no field, so equality, hash
-    and repr ignore it.  Unlike the standard library's cached property on
-    Python 3.10 and 3.11, it takes no lock on a first read, which every new
-    context and concept makes for its masks or its sorted parts.  Two
-    threads reading first may both compute a value; each reads it whole.
+    non-data descriptor from then on.  Equality, hash and repr ignore it,
+    unless it stands for a field, as a listed concept's ``extent`` and
+    ``intent`` do; such a record reads its fields by attribute.  Unlike
+    the standard library's cached property on Python 3.10 and 3.11, it
+    takes no lock on a first read, which every new context and concept
+    makes for its masks or its sorted parts.  Two threads reading first
+    may both compute a value; each reads it whole.
     """
 
     def __init__(self, fn):
@@ -233,9 +235,17 @@ class CompoundContext(_Record):
 
     @_once
     def flattened(self) -> FormalContext:
-        """Single table with the b-block columns appended after the a-block."""
-        rows = map(add, self.a_incidence, self.b_incidence)
-        return FormalContext(self.objects, self.a_attributes + self.b_attributes, rows)
+        """Single table with the b-block columns appended after the a-block.
+
+        Its fields are the blocks' checked fields joined, and its column
+        masks the blocks' masks side by side, so no cell is read again."""
+        a, b = self.a_block, self.b_block
+        flat = FormalContext.__new__(FormalContext)
+        d = flat.__dict__
+        d["objects"], d["attributes"] = a.objects, a.attributes + b.attributes
+        d["incidence"] = tuple(map(add, a.incidence, b.incidence))
+        d["column_masks"] = a.column_masks + b.column_masks
+        return flat
 
     @property
     def n_objects(self) -> int:

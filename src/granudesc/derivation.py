@@ -178,11 +178,11 @@ def _cn_premise(cctx: CompoundContext, x: int) -> tuple[int, bool]:
 
 def _cn_b_choice(b_block: FormalContext, unions: Iterable[int]) -> int:
     """The canonical b-part from covers of a granule that add equally few
-    objects inside its a-extent: the least union by size, then by
-    ``member_vector``, and every b-attribute whose non-empty extent lies
-    inside it.
+    objects inside its a-extent: the least union by size, then by its
+    membership string, object 0 first, and every b-attribute whose
+    non-empty extent lies inside it.
 
-    Of two unions of one size, the lesser ``member_vector`` lacks the
+    Of two unions of one size, the lesser membership string lacks the
     lowest object where they differ, so the order is read on the masks.
     """
     best, size = 0, b_block.n_objects + 1

@@ -10,11 +10,12 @@ the common-and-necessary family is a plain list of fixed points.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from collections.abc import Sequence
 
 from granudesc import _kernel
-from granudesc._bits import bit_tuple, concept_key
+from granudesc._bits import bit_tuple, concept_order
 from granudesc.context import CompoundContext, Flavor, FormalContext, _Record, _once
 from granudesc.definability import _RULES, Mode
 from granudesc.derivation import (
@@ -42,9 +43,10 @@ class Concept(_Record):
 
     The sorted extent and intent and the object and intent names are
     computed once, on first use, and shared by the sort key and the three
-    renderers.  The listings seed the sorted extent and intent in the
-    instance dict, as ``_once`` would store them, from the same reads of
-    the masks' bits that build ``extent`` and ``intent``.
+    renderers.  A listed concept holds only its sorted extent and intent,
+    read off the masks' bits, with its system and context; its ``extent``
+    and ``intent`` sets are built from them on first read, so equality,
+    hash, repr and pickling read the fields by attribute.
     """
 
     extent: frozenset[int]
@@ -65,8 +67,24 @@ class Concept(_Record):
         d["system"] = system
         d["context"] = context
 
+    def _values(self) -> tuple:
+        return self.extent, self.intent, self.system, self.context
+
     def sort_key(self) -> tuple:
-        return (-len(self.extent), self._sorted_extent)
+        return (-len(self._sorted_extent), self._sorted_extent)
+
+    @_once
+    def extent(self) -> frozenset[int]:
+        return frozenset(self._sorted_extent)
+
+    @_once
+    def intent(self) -> frozenset[int] | CnIntent:
+        flat = self._sorted_intent
+        if self.system is not System.COMMON_NECESSARY:
+            return frozenset(flat)
+        n = len(self.context.a_attributes)  # the b-part follows the a-part
+        k = bisect_left(flat, n)
+        return CnIntent(frozenset(flat[:k]), frozenset([j - n for j in flat[k:]]))
 
     @_once
     def _sorted_extent(self) -> tuple[int, ...]:
@@ -122,19 +140,15 @@ class ConceptLattice(_Record):
 
 
 def _concept(
-    ext: int,
-    att: int,
-    system: System,
-    ctx: FormalContext | CompoundContext,
-    intent: CnIntent | None = None,
+    ext: int, att: int, system: System, ctx: FormalContext | CompoundContext
 ) -> Concept:
-    """The concept of an extent mask and a flat intent mask, b-part bits
-    after the a-block.  One read of each mask's bits gives its set, unless
-    a two-part ``intent`` is passed, and its sorted tuple."""
-    t, s = bit_tuple(ext), bit_tuple(att)
-    c = Concept(frozenset(t), frozenset(s) if intent is None else intent, system, ctx)
-    seeds = c.__dict__  # what _once would store on first use
-    seeds["_sorted_extent"], seeds["_sorted_intent"] = t, s
+    """The listed concept of an extent mask and a flat intent mask, b-part
+    bits after the a-block: one read of each mask's bits gives its sorted
+    tuple, and the sets wait for their first reader."""
+    c = Concept.__new__(Concept)
+    d = c.__dict__
+    d["_sorted_extent"], d["_sorted_intent"] = bit_tuple(ext), bit_tuple(att)
+    d["system"], d["context"] = system, ctx
     return c
 
 
@@ -231,7 +245,7 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
     ``y & g == x`` are the covers of x by the b-extents whose trace on g
     lies inside x (extents missing g only make a cover larger).  The
     smallest is inclusion-minimal, so the least by size and then
-    ``member_vector`` is the union the cover search of ``cn_intent``
+    membership string is the union the cover search of ``cn_intent``
     keeps, and the b-part is read from it without a search.  No order
     structure is claimed for this family.
     """
@@ -240,7 +254,7 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
     _guard("cn enumeration", n, "objects", MAX_CN_OBJECTS, force)
     a_block, b_block = cctx.a_block, cctx.b_block
     a_cols, b_cols = a_block.column_masks, b_block.column_masks
-    found: dict[int, tuple[int, int]] = {}  # extent -> (a-part, b-part)
+    found: dict[int, int] = {}  # extent -> flat intent, b-part after a-part
     for g, att in _kernel.formal_concepts(a_cols, n):
         unions = {0}
         for col in b_cols:
@@ -257,14 +271,9 @@ def enumerate_cn(cctx: CompoundContext, force: bool = False) -> list[Concept]:
                 if x & ~c == 0:
                     break
             else:
-                found[x] = att, _cn_b_choice(b_block, ys)
-    concepts = []
-    for x in sorted(found, key=lambda m: concept_key(m, n), reverse=True):
-        a, b = found[x]
-        e = CnIntent(frozenset(bit_tuple(a)), frozenset(bit_tuple(b)))
-        flat = a | b << len(a_cols)
-        concepts.append(_concept(x, flat, System.COMMON_NECESSARY, cctx, e))
-    return concepts
+                found[x] = att | _cn_b_choice(b_block, ys) << len(a_cols)
+    cn = System.COMMON_NECESSARY
+    return [_concept(x, found[x], cn, cctx) for x in concept_order(found, n)]
 
 
 # ---------------------------------------------------------------------------

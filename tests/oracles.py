@@ -6,6 +6,8 @@ library's own closure and search code, so library results can be checked
 against an independent witness.  Next to them sit the algorithms the
 library replaced, kept as references for their replacements:
 ``formal_concepts_next_closure`` (lectic-successor closure enumeration),
+``formal_concepts_two_pass`` (the extents closed as a set, sorted by
+``concept_key``, then one intent pass per column),
 ``lower_neighbours_counting`` (cover edges by counting, per concept, the
 attributes that give each lower extent),
 ``covering_unions_lists`` (the cover search on candidate lists),
@@ -66,7 +68,7 @@ from granudesc import (
     three_way_conj,
 )
 from granudesc import _kernel
-from granudesc._bits import bits, concept_key, mask_of, member_vector, set_of
+from granudesc._bits import bits, mask_of, set_of
 from granudesc.context import _Record
 from granudesc.derivation import _cn_b_part, _intent
 from granudesc.lattice import Concept, System
@@ -207,6 +209,41 @@ def formal_concepts_bruteforce(
             if closed_ext == ext:
                 out.add((ext, intent))
     return out
+
+
+def member_vector(mask: int, width: int) -> str:
+    """Membership string, index 0 first: "1" where the bit is set.
+
+    The order key for lexicographic ties.  Strings of one width compare
+    character by character, so two masks below ``1 << width`` order by
+    their lowest differing bit, the mask holding it last.
+    """
+    return format(mask, f"0{width}b")[::-1]
+
+
+def concept_key(mask: int, width: int) -> tuple[int, str]:
+    """Concept order, sorted descending: by size, then holding the lowest
+    differing object first, as ``Concept.sort_key`` lists extents; the
+    one sort key that ``_bits.concept_order`` replaced, with
+    ``member_vector``."""
+    return mask.bit_count(), member_vector(mask, width)
+
+
+def formal_concepts_two_pass(cols: Sequence[int], n_objects: int) -> list[tuple[int, int]]:
+    """All (extent mask, intent mask) pairs in concept order, as
+    ``_kernel.formal_concepts`` found them before its one pass: the
+    extents as a set closed under meeting each column, sorted by
+    ``concept_key``, then one pass per column over the sorted extents for
+    the intents."""
+    exts = {(1 << n_objects) - 1}
+    for c in cols:
+        exts |= {e & c for e in exts}
+    order = sorted(exts, key=lambda e: concept_key(e, n_objects), reverse=True)
+    intents = [0] * len(order)
+    for j, c in enumerate(cols):
+        bit = 1 << j
+        intents = [a | bit if e & c == e else a for e, a in zip(order, intents)]
+    return list(zip(order, intents))
 
 
 def formal_concepts_next_closure(

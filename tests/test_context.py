@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import sys
 
@@ -387,6 +389,50 @@ def test_masks_equal_the_per_cell_builder(
     for table in (ctx, cn.a_block, cn.b_block, cn.flattened, three_way.b_block, three_way.flattened):
         masks = table.row_masks, table.column_masks, table.column_union, table.empty_columns
         assert masks == masks_per_cell(table.incidence)
+
+
+def _assert_flattened_as_built_cell_by_cell(cctx: CompoundContext) -> None:
+    """The flattened table, its seeded column masks and the masks it
+    builds equal those of a table built from the joined rows, also on
+    clones taken before and after its first read."""
+    rows = [a + b for a, b in zip(cctx.a_incidence, cctx.b_incidence)]
+    want = FormalContext(cctx.objects, cctx.a_attributes + cctx.b_attributes, rows)
+    masks = want.row_masks, want.column_masks, want.column_union, want.empty_columns
+    clones = (lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy)
+    for clone in (*clones, lambda c: c, *clones):
+        flat = clone(cctx).flattened
+        assert flat == want and flat.__dict__["column_masks"] == want.column_masks
+        assert (flat.row_masks, flat.column_masks, flat.column_union, flat.empty_columns) == masks
+
+
+def test_flattened_data_compounds_equal_tables_built_cell_by_cell() -> None:
+    table1 = parse_context(load_text("table1.cxt"))
+    scores = parse_context(load_text("scores_a.cxt")), parse_context(load_text("scores_b.cxt"))
+    for cctx in (
+        parse_compound(load_text("table3.json")),
+        parse_compound(load_text("table5.json")),
+        appose_negation(table1),
+        make_cn_context(table1, parse_context(load_text("table5_b.cxt"))),
+        make_cn_context(*scores),
+    ):
+        _assert_flattened_as_built_cell_by_cell(cctx)
+
+
+@given(
+    n_obj=st.sampled_from([1, 63, 64, 65]) | st.integers(1, 12),
+    n_att=st.integers(1, 10),
+    density=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_flattened_compounds_equal_tables_built_cell_by_cell(
+    n_obj: int, n_att: int, density: float, seed: int
+) -> None:
+    rng = random.Random(seed)
+    three_way = appose_negation(random_context(rng, n_obj, n_att, density))
+    cn = random_cn_context(rng, n_obj, n_att, n_att // 2 + 1, density)
+    _assert_flattened_as_built_cell_by_cell(three_way)
+    _assert_flattened_as_built_cell_by_cell(cn)
 
 
 def _ingest(text: str) -> None:

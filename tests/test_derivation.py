@@ -22,7 +22,7 @@ from granudesc import (
     necessity,
     possibility,
 )
-from granudesc._bits import mask_of, member_vector, set_of
+from granudesc._bits import mask_of, set_of
 from granudesc.derivation import _cn_b_choice
 
 from . import oracles
@@ -328,7 +328,7 @@ def test_cn_b_choice_takes_the_least_union_by_size_then_member_vector(
         tuple(f"b{j}" for j in range(9)),
         tuple(tuple(i == j for j in range(9)) for i in range(9)),
     )
-    want = min(unions, key=lambda y: (y.bit_count(), member_vector(y, 9)))
+    want = min(unions, key=lambda y: (y.bit_count(), oracles.member_vector(y, 9)))
     assert _cn_b_choice(ident, unions) == want
 
 

@@ -7,7 +7,7 @@ import random
 import sys
 import threading
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import granudesc
@@ -155,6 +155,33 @@ def test_concepts_match_next_closure_and_brute_force(
     assert got == _concept_order(oracles.formal_concepts_next_closure(cols, n_obj))
     brute = oracles.formal_concepts_bruteforce(rows, n_att)
     assert {(set_of(e), set_of(a)) for e, a in got} == brute
+
+
+@st.composite
+def _column_lists(draw) -> tuple[int, list[int]]:
+    """An object count, at times past the 64 objects of ``bit_tuple``'s
+    table, and up to 11 columns among which empty, full and repeated ones."""
+    n = draw(st.integers(0, 10) | st.sampled_from([63, 64, 65, 80]))
+    full = (1 << n) - 1
+    cols = draw(st.lists(st.integers(0, full), max_size=8))
+    cols += draw(st.lists(st.sampled_from([0, full, *cols]), max_size=3))
+    return n, draw(st.permutations(cols))
+
+
+@given(_column_lists())
+@example((0, []))
+@example((0, [0, 0]))
+@example((3, []))
+@example((3, [0b101, 0, 0b101, 0b111, 0]))
+@example((70, [1 << 69 | 1, 0, (1 << 70) - 1, 1 << 69 | 1, 1 << 64]))
+@settings(max_examples=400, deadline=None)
+def test_one_pass_enumeration_matches_two_pass_and_next_closure(
+    table: tuple[int, list[int]],
+) -> None:
+    n, cols = table
+    got = _kernel.formal_concepts(cols, n)
+    assert got == oracles.formal_concepts_two_pass(cols, n)
+    assert got == _concept_order(oracles.formal_concepts_next_closure(cols, n))
 
 
 # ---------------------------------------------------------------------------

@@ -694,6 +694,96 @@ def test_rendered_concepts_keep_equality_and_names(table1) -> None:
         assert c.sort_key() == plain.sort_key()
 
 
+# ---------------------------------------------------------------------------
+# listed concepts build their sets on first read
+# ---------------------------------------------------------------------------
+
+
+def _listings(table1, table3, table5) -> list[list[Concept]]:
+    """The four families on the data tables, each listed anew."""
+    return [
+        list(enumerate_formal(table1).concepts),
+        list(enumerate_object_oriented(table1).concepts),
+        list(enumerate_three_way(table3).concepts),
+        enumerate_cn(table5),
+    ]
+
+
+def _unread(families: list[list[Concept]]) -> bool:
+    return not any({"extent", "intent"} & c.__dict__.keys() for cs in families for c in cs)
+
+
+# per family, the derivation operator that gives an extent's intent
+_DERIVE = {
+    "formal": intent,
+    "object_oriented": necessity,
+    "three_way": compound_intent,
+    "common_necessary": cn_intent,
+}
+
+
+def test_listing_and_rendering_build_no_sets(table1, table3, table5) -> None:
+    families = _listings(table1, table3, table5)
+    for concepts in families:
+        _render(concepts, ("text", "json", "dot", "names"))
+        for c in concepts:
+            concept_label(c)
+            c.sort_key()
+    assert _unread(families)
+
+
+def test_first_reads_build_the_sets_of_eager_concepts(table1, table3, table5) -> None:
+    for concepts in _listings(table1, table3, table5):
+        for c in concepts:
+            ext, att = c.extent, c.intent
+            assert type(ext) is frozenset and ext == frozenset(c._sorted_extent)
+            assert att == _DERIVE[c.system.value](c.context, ext)
+            assert c.extent is ext and c.intent is att
+            assert _fresh(c)._sorted_intent == c._sorted_intent
+
+
+def test_cn_intent_with_an_empty_a_part_splits_at_the_a_block() -> None:
+    # a1 holds on o1 only, so the fixed point {o1, o2} has no a-part
+    a = FormalContext(("o1", "o2"), ("a1",), ((True,), (False,)))
+    b = FormalContext(("o1", "o2"), ("b1", "b2"), ((True, True), (True, False)))
+    concepts = enumerate_cn(make_cn_context(a, b))
+    assert _unread([concepts])
+    assert [c._sorted_intent for c in concepts] == [(1, 2), (0, 2)]
+    assert [c.intent for c in concepts] == [
+        CnIntent(frozenset(), frozenset({0, 1})),
+        CnIntent(frozenset({0}), frozenset({1})),
+    ]
+    assert [c.intent for c in concepts] == [cn_intent(c.context, c.extent) for c in concepts]
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda c, twin: c == twin and twin == c and not c != twin,
+        lambda c, twin: hash(c) == hash(twin),
+        lambda c, twin: repr(c) == repr(twin),
+        lambda c, twin: pickle.loads(pickle.dumps(c)) == twin,
+        lambda c, twin: copy.copy(c) == twin,
+        lambda c, twin: copy.deepcopy(c) == twin,
+    ],
+    ids=["eq", "hash", "repr", "pickle", "copy", "deepcopy"],
+)
+def test_unread_concepts_behave_as_eager_twins(table1, table3, table5, check) -> None:
+    twins = [[_fresh(c) for c in cs] for cs in _listings(table1, table3, table5)]
+    families = _listings(table1, table3, table5)
+    assert _unread(families)
+    for concepts, eager in zip(families, twins):
+        assert [check(c, t) for c, t in zip(concepts, eager)] == [True] * len(eager)
+
+
+def test_order_operations_on_unread_concepts_match_eager_twins(table1) -> None:
+    twins = [_fresh(c) for c in enumerate_formal(table1).concepts]
+    for op in (concept_leq, concept_meet, concept_join):
+        for i, j in permutations(range(len(twins)), 2):
+            concepts = enumerate_formal(table1).concepts
+            assert op(concepts[i], concepts[j]) == op(twins[i], twins[j])
+
+
 def _fresh_tables() -> list[tuple]:
     """A plain table, a three-way and a cn compound, built anew so that no
     mask or flattened table has been read yet, each with the verdict,

@@ -29,14 +29,16 @@ from granudesc import (
     disj_of,
     enumerate_cn,
     enumerate_formal,
+    enumerate_three_way,
     is_cn_definable,
     is_wedge_definable,
     lower_wedge,
     three_way_conj,
     upper_wedge,
 )
+from granudesc.context import _once, _Record
 from granudesc.definability import _RULES, _Rule
-from granudesc.lattice import concept_label
+from granudesc.lattice import Concept, System, concept_label
 
 from .oracles import frozen_twin
 
@@ -50,7 +52,8 @@ CLONES = {
 @pytest.fixture(scope="module")
 def records(table1, table3, table5) -> list[object]:
     """One or more instances of each of the 13 record classes, with every
-    value they cache on first use computed."""
+    value they cache on first use computed, and a listed concept whose
+    sets no one has read before the first test does."""
     lattice = enumerate_formal(table1)
     cn = enumerate_cn(table5)
     for c in (*lattice.concepts, *cn):
@@ -81,6 +84,7 @@ def records(table1, table3, table5) -> list[object]:
         lattice.concepts[0],
         lattice.concepts[3],
         cn[0],
+        enumerate_three_way(table3).concepts[4],
         lattice,
         _RULES[Mode.WEDGE],
         _RULES[Mode.CN],
@@ -165,3 +169,47 @@ def test_constructors_take_their_fields_by_keyword(records) -> None:
     assert Verdict(Status.DEFINABLE) == Verdict(Status.DEFINABLE, None, None, None)
     assert Atom(Block.B, 2, "b3") == Atom(Block.B, 2, "b3", False)
     assert CnIntent(frozenset(), frozenset()) == CnIntent(frozenset(), frozenset(), False)
+
+
+def _record_classes() -> list[type]:
+    found, todo = [], [_Record]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found += subs
+        todo += subs
+    return found
+
+
+def test_lazy_fields_are_read_by_attribute(table1, table5) -> None:
+    """A field that is also a ``_once`` on its class stays out of the
+    instance dict until its first read, so equality, hash, repr and
+    ``__getstate__`` must read it by attribute, never from the dict."""
+    unread = {
+        Concept: lambda: [*enumerate_formal(table1).concepts, *enumerate_cn(table5)],
+    }
+    lazy = {
+        cls: [f for f in cls._fields if isinstance(getattr(cls, f, None), _once)]
+        for cls in _record_classes()
+    }
+    assert {cls for cls, fields in lazy.items() if fields} == set(unread)
+    reads = {
+        "eq": lambda r, eager: r == eager and eager == r,
+        "hash": lambda r, eager: hash(r) == hash(eager) == hash(frozen_twin(eager)),
+        "repr": lambda r, eager: repr(r) == repr(eager) == repr(frozen_twin(eager)),
+        "getstate": lambda r, eager: r.__getstate__() == eager.__getstate__(),
+    }
+    for cls, make in unread.items():
+        eager = [cls(*(getattr(r, f) for f in cls._fields)) for r in make()]
+        for name, read in reads.items():
+            fresh = make()
+            assert not [f for r in fresh for f in lazy[cls] if f in r.__dict__]
+            assert all(read(r, e) for r, e in zip(fresh, eager)), name
+
+
+def test_concept_constructor_keeps_the_sets_it_is_given(table1, table5) -> None:
+    ext, att = frozenset({1, 6}), frozenset({0, 1})
+    c = Concept(ext, att, System.FORMAL, table1)
+    assert c.extent is ext and c.intent is att
+    two = CnIntent(frozenset({0}), frozenset({1, 2}))
+    c = Concept(ext, two, System.COMMON_NECESSARY, table5)
+    assert c.extent is ext and c.intent is two
