@@ -46,19 +46,6 @@ class Approximation(_Record):
     granules: tuple[tuple[ObjectSet, Description | None], ...]
     exact: bool
 
-    def __init__(
-        self,
-        direction: Direction,
-        mode: Mode,
-        granules: tuple[tuple[ObjectSet, Description | None], ...],
-        exact: bool,
-    ) -> None:
-        d = self.__dict__
-        d["direction"] = direction
-        d["mode"] = mode
-        d["granules"] = granules
-        d["exact"] = exact
-
 
 class CoverProblem(_Record):
     """Candidate attribute extents and a target to cover by their union."""

@@ -53,23 +53,30 @@ class _once:
 class _Record:
     """Base of the package's immutable records.
 
-    A subclass lists its fields as class annotations, in order, and its
-    own ``__init__`` writes them into the instance dict.  As on a frozen
-    dataclass, equality needs the same class and compares the fields as a
-    tuple, the hash is that tuple's, the repr reads ``Name(field=value)``
-    and assigning or deleting an attribute raises ``AttributeError``; the
-    methods are written once here, where the ``dataclasses`` import and
-    the code it generates for each class cost every process several
-    milliseconds.  Pickling and copying carry the fields alone, so a clone
-    rebuilds its cached masks, atom maps and sorted parts on first use
-    instead of sharing them.
+    A subclass lists its fields as class annotations, in order.  Unless it
+    writes its own ``__init__`` to check or normalise its arguments, it
+    gets one here: a parameter per field, in order, each stored into the
+    instance dict, with the field's class-body value as its default (a
+    ``_once`` is no default); a subclass that adds no field keeps its
+    parent's.  As on a frozen dataclass, equality needs
+    the same class and compares the fields as a tuple, the hash is that
+    tuple's, the repr reads ``Name(field=value)`` and assigning or
+    deleting an attribute raises ``AttributeError``; the methods are
+    written once here, where the ``dataclasses`` import and the code it
+    generates for each class cost every process several milliseconds.
+    Pickling and copying carry the fields alone, so a clone rebuilds its
+    cached masks, atom maps and sorted parts on first use instead of
+    sharing them.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields += own
         cls.__match_args__ = cls._fields
+        if own and "__init__" not in cls.__dict__:
+            cls.__init__ = _storing_init(cls)
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -94,6 +101,29 @@ class _Record:
 
     def __getstate__(self) -> dict[str, object]:
         return dict(zip(self._fields, self._values()))
+
+
+def _storing_init(cls: type) -> object:
+    """A constructor that stores ``cls._fields``, in order, into the
+    instance dict.  Its source names only the fields; a default reaches it
+    as the value its namespace binds to the field's name, never as text."""
+    ns: dict[str, object] = {}
+    params = []
+    for name in cls._fields:
+        value = getattr(cls, name, _once)  # no class-body value, or a _once: no default
+        if value is _once or isinstance(value, _once):
+            if ns:
+                raise TypeError(f"{cls.__qualname__}.{name} has no default but follows one")
+            params.append(name)
+        else:
+            ns[name] = value
+            params.append(f"{name}={name}")
+    stores = "".join(f"\n    d[{name!r}] = {name}" for name in cls._fields)
+    exec(f"def __init__(self, {', '.join(params)}):\n    d = self.__dict__{stores}", ns)
+    init = ns["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 class FormalContext(_Record):
@@ -340,13 +370,9 @@ def _parse_cxt(text: str) -> FormalContext:
     extra = row_base + n_obj
     if extra < len(lines):
         raise ContextFormatError("unexpected trailing content", line=extra + 1)
-    try:
-        return FormalContext(objects, attributes, rows)
-    except ContextFormatError:
-        # a name fault: find it again, at its own line
-        _check_names(objects, "object", base + 1)
-        _check_names(attributes, "attribute", base + n_obj + 1)
-        raise
+    _check_names(objects, "object", base + 1)
+    _check_names(attributes, "attribute", base + n_obj + 1)
+    return FormalContext(objects, attributes, rows)
 
 
 def _serialize_cxt(ctx: FormalContext) -> str:

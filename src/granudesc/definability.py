@@ -80,22 +80,9 @@ class Reason(Enum):
 
 class Verdict(_Record):
     status: Status
-    description: Description | None
-    reason: Reason | None
-    witness: ObjectSet | None
-
-    def __init__(
-        self,
-        status: Status,
-        description: Description | None = None,
-        reason: Reason | None = None,
-        witness: ObjectSet | None = None,
-    ) -> None:
-        d = self.__dict__
-        d["status"] = status
-        d["description"] = description
-        d["reason"] = reason
-        d["witness"] = witness
+    description: Description | None = None
+    reason: Reason | None = None
+    witness: ObjectSet | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -118,26 +105,7 @@ class _Rule(_Record):
     close: Callable[[Any, int], int]
     build: Callable[[Any, int], Description]
     family: str  # the concept family the mode's fixed points form
-    needs_granule: bool  # the empty granule has no answer
-
-    def __init__(
-        self,
-        flavor: Flavor | None,
-        table: Callable[[Any], Any],
-        derive: Callable[[Any, int], int],
-        close: Callable[[Any, int], int],
-        build: Callable[[Any, int], Description],
-        family: str,
-        needs_granule: bool = False,
-    ) -> None:
-        d = self.__dict__
-        d["flavor"] = flavor
-        d["table"] = table
-        d["derive"] = derive
-        d["close"] = close
-        d["build"] = build
-        d["family"] = family
-        d["needs_granule"] = needs_granule
+    needs_granule: bool = False  # the empty granule has no answer
 
     def minimal(self, t: Any, x: int) -> list[int]:
         """Inclusion-minimal attribute masks that close to the granule, by

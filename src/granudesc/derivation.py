@@ -139,15 +139,7 @@ class CnIntent(_Record):
 
     a_part: AttributeSet
     b_part: AttributeSet
-    no_b_cover: bool
-
-    def __init__(
-        self, a_part: AttributeSet, b_part: AttributeSet, no_b_cover: bool = False
-    ) -> None:
-        d = self.__dict__
-        d["a_part"] = a_part
-        d["b_part"] = b_part
-        d["no_b_cover"] = no_b_cover
+    no_b_cover: bool = False
 
 
 def _cn_extent(cctx: CompoundContext, attrs: int) -> int:

@@ -38,14 +38,7 @@ class Atom(_Record):
     block: Block
     index: int
     name: str
-    negated: bool
-
-    def __init__(self, block: Block, index: int, name: str, negated: bool = False) -> None:
-        d = self.__dict__
-        d["block"] = block
-        d["index"] = index
-        d["name"] = name
-        d["negated"] = negated
+    negated: bool = False
 
 
 class Conj(_Record):

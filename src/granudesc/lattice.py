@@ -54,19 +54,6 @@ class Concept(_Record):
     system: System
     context: FormalContext | CompoundContext
 
-    def __init__(
-        self,
-        extent: frozenset[int],
-        intent: frozenset[int] | CnIntent,
-        system: System,
-        context: FormalContext | CompoundContext,
-    ) -> None:
-        d = self.__dict__
-        d["extent"] = extent
-        d["intent"] = intent
-        d["system"] = system
-        d["context"] = context
-
     def _values(self) -> tuple:
         return self.extent, self.intent, self.system, self.context
 
@@ -118,17 +105,6 @@ class ConceptLattice(_Record):
     concepts: tuple[Concept, ...]
     covers: tuple[tuple[int, int], ...]  # (upper index, lower index)
     system: System
-
-    def __init__(
-        self,
-        concepts: tuple[Concept, ...],
-        covers: tuple[tuple[int, int], ...],
-        system: System,
-    ) -> None:
-        d = self.__dict__
-        d["concepts"] = concepts
-        d["covers"] = covers
-        d["system"] = system
 
     @property
     def top(self) -> Concept:

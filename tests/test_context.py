@@ -86,6 +86,12 @@ def test_one_by_one_round_trip() -> None:
         (lambda t: t.replace(".XX..", ".XX.", 1), 18, None),
         (lambda t: t.replace(".XX..", ".XZ..", 1), 18, 3),
         (lambda t: t + "junk\n", 25, None),
+        pytest.param(
+            lambda t: t.replace("\n5\n\n", "\n5\nx\n", 1),
+            5,
+            None,
+            id="no-blank-line-after-counts",  # the only raise a non-empty line 5 reaches
+        ),
     ],
 )
 def test_cxt_parse_errors_report_position(mangle, line, column) -> None:
@@ -215,6 +221,15 @@ def test_json_field_errors() -> None:
         parse_context('{"objects": ["1"], "attributes": ["a"], "incidence": [[2]]}')
     with pytest.raises(ContextFormatError):
         parse_compound("[1, 2]")
+    with pytest.raises(ContextFormatError, match="^field 'incidence' must be a list of rows$"):
+        parse_context('{"objects": ["1"], "attributes": ["a"], "incidence": {"1": [1]}}')
+    with pytest.raises(ContextFormatError) as err:
+        parse_compound('{"flavor": "two_way"}')
+    assert str(err.value) == (
+        "field 'flavor' must be 'three_way' or 'common_necessary', got 'two_way'"
+    )
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        serialize_context(FormalContext(("1",), ("a",), ((True,),)), "xml")
 
 
 def test_parse_context_points_compound_input_to_parse_compound() -> None:
@@ -299,6 +314,15 @@ def test_constructor_rejects_bad_shapes() -> None:
         FormalContext(("1", "2"), ("a",), ((True,),))
     with pytest.raises(ContextFormatError):
         FormalContext(("1",), ("a",), ((True, False),))
+    with pytest.raises(ContextFormatError, match="^a context needs at least one object$"):
+        FormalContext((), ("a",), ())
+    with pytest.raises(KeyError, match="unknown attribute 'b'"):
+        FormalContext(("1",), ("a",), ((True,),)).attribute_index("b")
+    one = (("1",), ("a",))
+    with pytest.raises(ContextFormatError, match=r"^attribute names shared between blocks: \['a'\]$"):
+        CompoundContext(*one, ("a",), ((True,),), ((False,),), Flavor.COMMON_NECESSARY)
+    with pytest.raises(ContextFormatError, match="^a three-way compound needs equally sized blocks$"):
+        CompoundContext(*one, ("b", "c"), ((True,),), ((False, True),), Flavor.THREE_WAY)
 
 
 def test_complement_matches_flipped_rows(table1: FormalContext) -> None:

@@ -13,12 +13,14 @@ from granudesc import (
     FlavorMismatch,
     FormalContext,
     Inapplicable,
+    Mode,
     Reason,
     Status,
     appose_negation,
     cn_intent,
     compound_extent,
     conj_disj,
+    conj_of,
     evaluate,
     find_covering_elements,
     intersect_descriptions,
@@ -34,6 +36,7 @@ from granudesc import (
 )
 from granudesc import _kernel
 from granudesc._bits import bits
+from granudesc.definability import _RULES, _Rule
 
 from . import oracles
 from .conftest import (
@@ -86,6 +89,19 @@ def test_wedge_empty_granule(table1) -> None:
     assert v.status is Status.DEFINABLE
     assert render(v.description) == "a1 ∧ a2 ∧ a3 ∧ a4 ∧ a5"
     assert evaluate(table1, v.description) == frozenset()
+
+
+def test_the_self_check_refuses_a_description_of_another_granule(table1, monkeypatch) -> None:
+    rule = _RULES[Mode.WEDGE]
+    a1 = conj_of(table1, [0])  # objects 2, 3 and 7
+
+    def wrong(ctx, attrs):
+        return a1
+
+    monkeypatch.setitem(_RULES, Mode.WEDGE, _Rule(**{**rule.__getstate__(), "build": wrong}))
+    with pytest.raises(AssertionError) as err:
+        is_wedge_definable(table1, objs(table1, "2", "7"))
+    assert str(err.value) == f"description {a1!r} evaluates to [1, 2, 6], not [1, 6]"
 
 
 def test_covering_elements(table1) -> None:

@@ -67,6 +67,8 @@ def test_duplicate_atoms_rejected() -> None:
         Conj((a(0, "a1"), a(0, "a1")))
     # same index with opposite polarity is two distinct atoms
     Conj((a(0, "a1"), a(0, "a1", negated=True)))
+    with pytest.raises(GranuleDescError, match="^two-part descriptions take positive atoms only$"):
+        ConjDisj((a(0, "a1", negated=True),), (Atom(Block.B, 0, "b1"),))
 
 
 def test_disjunction_atoms_must_be_positive() -> None:
@@ -452,7 +454,9 @@ def test_parse_refuses_repeated_negation(table3: CompoundContext, text: str) -> 
         parse_description(text, table3)
 
 
-def test_parse_errors(table1: FormalContext, table5: CompoundContext) -> None:
+def test_parse_errors(
+    table1: FormalContext, table3: CompoundContext, table5: CompoundContext
+) -> None:
     with pytest.raises(GranuleDescError):
         parse_description("a1 | a2 & a3", table1)
     with pytest.raises(GranuleDescError):
@@ -465,6 +469,16 @@ def test_parse_errors(table1: FormalContext, table5: CompoundContext) -> None:
         parse_description("(b2 | b4)", table5)
     with pytest.raises(GranuleDescError):
         parse_description("a1 & (b2 & b4)", table5)
+    refusals = [
+        ("¬a1", table1, "negation needs a three-way compound"),
+        ("¬not_a1", table3, "cannot negate complement attribute 'not_a1'"),
+        ("a1 & (b2 | b4) & (b1 | b3)", table5, "at most one parenthesized group is allowed"),
+        ("a1 & (a2 | a3)", table1, "a conjunction with a disjunct needs a common_necessary compound"),
+    ]
+    for text, ctx, message in refusals:
+        with pytest.raises(GranuleDescError) as err:
+            parse_description(text, ctx)
+        assert str(err.value) == message
 
 
 def test_parse_render_round_trip(table1, table3, table5) -> None:

@@ -10,6 +10,7 @@ rebuilds what the original cached on first use.
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -37,7 +38,7 @@ from granudesc import (
     upper_wedge,
 )
 from granudesc.context import _once, _Record
-from granudesc.definability import _RULES, _Rule
+from granudesc.definability import _RULES, _CnRule, _Rule
 from granudesc.lattice import Concept, System, concept_label
 
 from .oracles import frozen_twin
@@ -163,21 +164,70 @@ def test_cloned_contexts_rebuild_equal_masks(table5) -> None:
         assert (cb.column_masks, cb.column_union, cb.empty_columns) == want
 
 
+DEFAULTS = {
+    Verdict: {"description": None, "reason": None, "witness": None},
+    _Rule: {"needs_granule": False},
+    _CnRule: {"needs_granule": False},
+    CnIntent: {"no_b_cover": False},
+    Atom: {"negated": False},
+}
+
+
 def test_constructors_take_their_fields_by_keyword(records) -> None:
     for r in records:
         assert type(r)(**{f: getattr(r, f) for f in r._fields}) == r
     assert Verdict(Status.DEFINABLE) == Verdict(Status.DEFINABLE, None, None, None)
     assert Atom(Block.B, 2, "b3") == Atom(Block.B, 2, "b3", False)
     assert CnIntent(frozenset(), frozenset()) == CnIntent(frozenset(), frozenset(), False)
+    classes = _record_classes()
+    assert len(classes) == 14 and set(DEFAULTS) <= set(classes)
+    for cls in classes:
+        params = inspect.signature(cls).parameters.values()
+        assert [p.name for p in params] == list(cls._fields)
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        assert defaults == DEFAULTS.get(cls, {})
+        owner = next(k for k in cls.__mro__ if "__init__" in vars(k))
+        assert cls.__init__.__qualname__ == f"{owner.__qualname__}.__init__"
+        assert cls.__init__.__module__ == owner.__module__ == cls.__module__
+    assert _CnRule.__init__ is _Rule.__init__
+    with pytest.raises(TypeError) as err:
+        Verdict()
+    assert str(err.value) == "Verdict.__init__() missing 1 required positional argument: 'status'"
+
+
+def test_a_record_without_a_constructor_gets_one_that_stores_its_fields() -> None:
+    class Local(_Record):
+        lazy: int
+        flag: bool = True
+
+        @_once
+        def lazy(self) -> int:
+            return 0
+
+    assert [(p.name, p.default) for p in inspect.signature(Local).parameters.values()] == [
+        ("lazy", inspect.Parameter.empty),
+        ("flag", True),
+    ]
+    assert Local(5).__dict__ == {"lazy": 5, "flag": True}
+    assert Local(flag=False, lazy=6).__dict__ == {"lazy": 6, "flag": False}
+    assert Local.__init__.__qualname__ == f"{Local.__qualname__}.__init__"
+    assert Local.__init__.__module__ == __name__
+    with pytest.raises(TypeError, match=r"<locals>\.Late\.plain has no default but follows one$"):
+
+        class Late(_Record):
+            flag: bool = True
+            plain: int
 
 
 def _record_classes() -> list[type]:
+    """The package's record classes, not those a test makes."""
     found, todo = [], [_Record]
     while todo:
         subs = todo.pop().__subclasses__()
         found += subs
         todo += subs
-    return found
+    return [cls for cls in found if cls.__module__.startswith("granudesc.")]
 
 
 def test_lazy_fields_are_read_by_attribute(table1, table5) -> None:
