@@ -49,12 +49,6 @@ EXIT_GUARD = 3
 EXIT_INAPPLICABLE = 4
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
-
-
 def _input_name(path: str) -> str:
     return "stdin" if path == "-" else path
 
@@ -74,11 +68,11 @@ def _read_text(path: str) -> str:
             with open(path, "rb") as fh:
                 data = fh.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {name}: {exc.strerror or exc}") from None
+        raise GranuleDescError(f"cannot read {name}: {exc.strerror or exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _CliError(
+        raise GranuleDescError(
             f"cannot read {name}: not UTF-8 at byte {exc.start} ({exc.reason})"
         ) from None
 
@@ -90,13 +84,13 @@ def _load_any(path: str) -> FormalContext | CompoundContext:
     try:
         return _parse_any(text)
     except ContextFormatError as exc:
-        raise _CliError(f"{_input_name(path)}: {exc}") from None
+        raise GranuleDescError(f"{_input_name(path)}: {exc}") from None
 
 
 def _as_formal(loaded: object, what: str) -> FormalContext:
     if isinstance(loaded, FormalContext):
         return loaded
-    raise _CliError(f"{what} needs a plain formal context")
+    raise GranuleDescError(f"{what} needs a plain formal context")
 
 
 def _context_for(
@@ -109,22 +103,22 @@ def _context_for(
     ``flavor`` is None), built from the input and --compound."""
     if flavor is None:
         if compound_path:
-            raise _CliError(f"{what} takes no --compound")
+            raise GranuleDescError(f"{what} takes no --compound")
         return _as_formal(loaded, what)
     if isinstance(loaded, CompoundContext):
         if loaded.flavor is not flavor:
-            raise _CliError(
+            raise GranuleDescError(
                 f"expected a {flavor.value} compound, got {loaded.flavor.value}"
             )
         if compound_path:
-            raise _CliError("--compound conflicts with a compound input file")
+            raise GranuleDescError("--compound conflicts with a compound input file")
         return loaded
     if flavor is Flavor.THREE_WAY:
         if compound_path:
-            raise _CliError("three-way mode derives its compound; drop --compound")
+            raise GranuleDescError("three-way mode derives its compound; drop --compound")
         return appose_negation(loaded)
     if not compound_path:
-        raise _CliError(
+        raise GranuleDescError(
             "this mode needs a second attribute block: pass a compound JSON "
             "input or --compound PATH"
         )
@@ -151,7 +145,7 @@ def _parse_granule(spec: str, objects: tuple[str, ...]) -> frozenset[int]:
         elif 0 <= as_index < len(objects):
             chosen.add(as_index)
         else:
-            raise _CliError(f"unknown object {token!r}")
+            raise GranuleDescError(f"unknown object {token!r}")
     return frozenset(chosen)
 
 
@@ -198,7 +192,7 @@ def _cmd_concepts(args: argparse.Namespace) -> int:
     fmt = _pick_format(args.format)
     rule = next((r for r in _RULES.values() if r.family == variant), None)
     if rule is None:
-        raise _CliError(f"unknown variant {args.variant!r}")
+        raise GranuleDescError(f"unknown variant {args.variant!r}")
     what = f"variant {variant.replace('_', '-')}"
     ctx = _context_for(loaded, rule.flavor, args.compound, what)
     family = getattr(lattice, f"enumerate_{variant}")(ctx, args.force)
@@ -208,7 +202,7 @@ def _cmd_concepts(args: argparse.Namespace) -> int:
         concepts, family = tuple(family), None
     if fmt == "dot":
         if family is None:
-            raise _CliError("the cn family carries no lattice; use text or json")
+            raise GranuleDescError("the cn family carries no lattice; use text or json")
         sys.stdout.write(lattice.lattice_to_dot(family, args.ascii))
     elif fmt == "json":
         payload = [lattice.concept_json_obj(c) for c in concepts]
@@ -229,7 +223,7 @@ def _mode_context(
         mode = Mode(args.mode.replace("-", "_"))
     except ValueError:
         names = ", ".join(m.value.replace("_", "-") for m in Mode)
-        raise _CliError(f"mode must be one of {names}; got {args.mode!r}") from None
+        raise GranuleDescError(f"mode must be one of {names}; got {args.mode!r}") from None
     flavor = _RULES[mode].flavor
     return mode, _context_for(loaded, flavor, args.compound, f"mode {mode.value}")
 
@@ -244,7 +238,7 @@ def _cmd_define(args: argparse.Namespace) -> int:
     try:
         verdict = getattr(defin, f"is_{mode.value}_definable")(ctx, granule)
     except ValueError as exc:
-        raise _CliError(str(exc)) from None
+        raise GranuleDescError(str(exc)) from None
     payload = {
         "status": verdict.status.value,
         "description": _description_json(verdict.description),
@@ -282,13 +276,13 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     fmt = _pick_format(args.format)
     op = getattr(approx_ops, f"{args.direction}_{mode.value}", None)
     if op is None:
-        raise _CliError(
+        raise GranuleDescError(
             f"no {args.direction} approximation is defined for mode {args.mode}"
         )
     try:
         result = op(ctx, granule)
     except ValueError as exc:
-        raise _CliError(str(exc)) from None
+        raise GranuleDescError(str(exc)) from None
     payload = {
         "direction": result.direction.value,
         "mode": result.mode.value,
@@ -332,7 +326,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _CliError(f"cannot write {args.output}: {exc.strerror or exc}") from None
+            raise GranuleDescError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -421,19 +415,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.input == "-" == getattr(args, "compound", None):
-            raise _CliError("--compound - conflicts with input -: stdin is read once")
+            raise GranuleDescError("--compound - conflicts with input -: stdin is read once")
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except SizeGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except Inapplicable as exc:
-        reason = getattr(exc.reason, "value", exc.reason)
-        print(f"inapplicable: {exc.message} ({reason})", file=sys.stderr)
+        print(f"inapplicable: {exc.message} ({exc.reason.value})", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except GranuleDescError as exc:  # context-kind mismatches, blocks that disagree
+    except GranuleDescError as exc:  # bad input or usage, from the CLI or the library
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -30,9 +30,9 @@ class _once:
     """A method turned into an attribute computed on first use.
 
     The value goes into the instance ``__dict__``, which shadows this
-    non-data descriptor from then on.  Equality, hash and repr ignore it,
-    unless it stands for a field, as a listed concept's ``extent`` and
-    ``intent`` do; such a record reads its fields by attribute.  Unlike
+    non-data descriptor from then on.  Equality, hash, repr and clones
+    ignore it, unless it stands for a field, as a listed concept's
+    ``extent`` and ``intent`` do; they read fields by attribute.  Unlike
     the standard library's cached property on Python 3.10 and 3.11, it
     takes no lock on a first read, which every new context and concept
     makes for its masks or its sorted parts.  Two threads reading first
@@ -58,15 +58,15 @@ class _Record:
     gets one here: a parameter per field, in order, each stored into the
     instance dict, with the field's class-body value as its default (a
     ``_once`` is no default); a subclass that adds no field keeps its
-    parent's.  As on a frozen dataclass, equality needs
-    the same class and compares the fields as a tuple, the hash is that
-    tuple's, the repr reads ``Name(field=value)`` and assigning or
+    parent's.  As on a frozen dataclass, equality needs the same class
+    and compares the fields, read by attribute, as a tuple, the hash is
+    that tuple's, the repr reads ``Name(field=value)`` and assigning or
     deleting an attribute raises ``AttributeError``; the methods are
     written once here, where the ``dataclasses`` import and the code it
     generates for each class cost every process several milliseconds.
-    Pickling and copying carry the fields alone, so a clone rebuilds its
-    cached masks, atom maps and sorted parts on first use instead of
-    sharing them.
+    Pickling and copying call the class with the fields, so a clone
+    passes the constructor's checks and rebuilds its cached masks, atom
+    maps and sorted parts on first use instead of sharing them.
     """
 
     _fields: tuple[str, ...] = ()
@@ -79,7 +79,7 @@ class _Record:
             cls.__init__ = _storing_init(cls)
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -99,8 +99,8 @@ class _Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __getstate__(self) -> dict[str, object]:
-        return dict(zip(self._fields, self._values()))
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._values()
 
 
 def _storing_init(cls: type) -> object:
@@ -209,7 +209,8 @@ class Flavor(Enum):
 
 
 class CompoundContext(_Record):
-    """Two attribute blocks over a shared object set."""
+    """Two attribute blocks over a shared object set; the constructor
+    keeps them as the checked tables ``a_block`` and ``b_block``."""
 
     objects: tuple[str, ...]
     a_attributes: tuple[str, ...]
@@ -254,14 +255,6 @@ class CompoundContext(_Record):
                     "three-way blocks must be complementary; "
                     f"object {i + 1}, attribute pair {k + 1} is not"
                 )
-
-    @_once
-    def a_block(self) -> FormalContext:
-        return FormalContext(self.objects, self.a_attributes, self.a_incidence)
-
-    @_once
-    def b_block(self) -> FormalContext:
-        return FormalContext(self.objects, self.b_attributes, self.b_incidence)
 
     @_once
     def flattened(self) -> FormalContext:

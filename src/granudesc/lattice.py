@@ -45,17 +45,14 @@ class Concept(_Record):
     computed once, on first use, and shared by the sort key and the three
     renderers.  A listed concept holds only its sorted extent and intent,
     read off the masks' bits, with its system and context; its ``extent``
-    and ``intent`` sets are built from them on first read, so equality,
-    hash, repr and pickling read the fields by attribute.
+    and ``intent`` sets are built from them on first read, as equality,
+    hash, repr and clones (through the constructor) read them.
     """
 
     extent: frozenset[int]
     intent: frozenset[int] | CnIntent
     system: System
     context: FormalContext | CompoundContext
-
-    def _values(self) -> tuple:
-        return self.extent, self.intent, self.system, self.context
 
     def sort_key(self) -> tuple:
         return (-len(self._sorted_extent), self._sorted_extent)

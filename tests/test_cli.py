@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -82,6 +84,36 @@ def test_validate_plain_json_naming_an_attribute_flavor(capsys, tmp_path) -> Non
 def test_missing_input_file(capsys, tmp_path) -> None:
     code, _, err = run(capsys, ["validate", str(tmp_path / "absent.cxt")])
     assert code == 2 and err.startswith("error:")
+
+
+def test_usage_errors_exit_2_and_help_exits_0(capsys) -> None:
+    code, out, err = run(capsys, ["validate", TABLE1, "--bogus"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
+    code, out, err = run(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: granudesc ")
+
+
+def test_the_module_runs_as_a_command(tmp_path) -> None:
+    """``python -m granudesc.cli`` exits with ``main``'s code."""
+    src = str(Path(main.__code__.co_filename).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def command(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "granudesc.cli", *argv],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = command("validate", TABLE1)
+    assert (ok.returncode, ok.stdout, ok.stderr) == (
+        0, "ok: 7 objects, 5 attributes, 14 incidences\n", ""
+    )
+    usage = command("validate")
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert usage.stderr.endswith("error: the following arguments are required: input\n")
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +345,14 @@ def test_define_unknown_object(capsys) -> None:
     assert code == 2 and "unknown object '9'" in err
 
 
+def test_define_cn_refuses_the_empty_granule(capsys) -> None:
+    code, out, err = run(
+        capsys, ["define", TABLE5_JSON, "--granule", "", "--mode", "cn"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: is_cn_definable needs a non-empty granule\n"
+
+
 def test_define_cn_needs_compound(capsys) -> None:
     code, _, err = run(
         capsys, ["define", TABLE1, "--granule", "2,3", "--mode", "cn"]
@@ -518,6 +558,16 @@ def test_convert_complement_twice_restores_input(capsys, tmp_path) -> None:
     code, out, _ = run(capsys, ["convert", str(first), "--op", "complement"])
     assert code == 0
     assert out == (DATA / "table1.cxt").read_text(encoding="utf-8")
+
+
+def test_convert_reports_an_output_it_cannot_write(capsys, tmp_path) -> None:
+    target = tmp_path / "missing" / "x.cxt"
+    code, out, err = run(
+        capsys, ["convert", TABLE1, "--op", "complement", "--output", str(target)]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_convert_appose_json_round_trip(capsys, table3) -> None:

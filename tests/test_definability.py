@@ -98,7 +98,8 @@ def test_the_self_check_refuses_a_description_of_another_granule(table1, monkeyp
     def wrong(ctx, attrs):
         return a1
 
-    monkeypatch.setitem(_RULES, Mode.WEDGE, _Rule(**{**rule.__getstate__(), "build": wrong}))
+    planted = _Rule(**dict(zip(rule._fields, rule._values()), build=wrong))
+    monkeypatch.setitem(_RULES, Mode.WEDGE, planted)
     with pytest.raises(AssertionError) as err:
         is_wedge_definable(table1, objs(table1, "2", "7"))
     assert str(err.value) == f"description {a1!r} evaluates to [1, 2, 6], not [1, 6]"

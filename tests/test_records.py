@@ -3,7 +3,8 @@
 Each record of the package is checked against ``oracles.frozen_twin``, the
 same fields in a class made by ``dataclasses.make_dataclass(frozen=True)``:
 equality, hash and repr, refused assignment and deletion, and pickle,
-copy and deepcopy round-trips.  A clone carries the fields alone, so it
+copy and deepcopy round-trips.  A clone is built by its class's
+constructor from the fields, so it passes the constructor's checks and
 rebuilds what the original cached on first use.
 """
 
@@ -19,6 +20,7 @@ from granudesc import (
     Atom,
     Block,
     CnIntent,
+    ContextFormatError,
     Conj,
     CoverProblem,
     Disj,
@@ -37,7 +39,7 @@ from granudesc import (
     three_way_conj,
     upper_wedge,
 )
-from granudesc.context import _once, _Record
+from granudesc.context import FormalContext, _once, _Record
 from granudesc.definability import _RULES, _CnRule, _Rule
 from granudesc.lattice import Concept, System, concept_label
 
@@ -141,19 +143,57 @@ def test_assignment_and_deletion_are_refused_as_by_the_dataclass(records) -> Non
                 assert r.__dict__ == before
 
 
+def _spy(init, built: list[type]):
+    """``init``, noting the class of each record it has finished building."""
+
+    def spy(self, *args, **kwargs) -> None:
+        init(self, *args, **kwargs)
+        built.append(type(self))
+
+    return spy
+
+
 @pytest.mark.parametrize("how", sorted(CLONES))
-def test_clones_are_equal_and_carry_the_fields_alone(records, how) -> None:
+def test_clones_are_rebuilt_by_their_constructors(records, how, monkeypatch) -> None:
     clone = CLONES[how]
+    built: list[type] = []
+    for owner in {next(k for k in type(r).__mro__ if "__init__" in vars(k)) for r in records}:
+        monkeypatch.setattr(owner, "__init__", _spy(owner.__init__, built))
+    assert FormalContext.__init__.__name__ == "spy"
     for r in records:
         if how == "pickle" and isinstance(r, _Rule):
             continue  # its fields are lambdas, which no dataclass pickles either
+        built.clear()
         c = clone(r)
+        assert built[-1] is type(r)
         assert type(c) is type(r) and c is not r
         assert c == r and hash(c) == hash(r) and repr(c) == repr(r)
         assert frozen_twin(c) == frozen_twin(r)
         if how != "pickle":
             assert repr(clone(frozen_twin(r))) == repr(c)
-        assert list(c.__dict__) == list(type(r)._fields)
+        assert list(c.__dict__) == list(type(r)(*r._values()).__dict__)
+        assert not {"row_masks", "_atom_kinds", "_own_atoms", "_sorted_extent"} & set(c.__dict__)
+
+
+def test_a_tampered_pickle_meets_the_constructor_checks(table5) -> None:
+    tampered = pickle.dumps(table5).replace(b"b1", b"a1")
+    with pytest.raises(ContextFormatError) as err:
+        pickle.loads(tampered)
+    assert str(err.value) == "attribute names shared between blocks: ['a1']"
+
+
+def test_a_pickle_of_the_fields_alone_still_loads() -> None:
+    """The earlier pickles carried the fields as a state dict; they load
+    into the instance dict without the constructor."""
+    old = (
+        b"\x80\x02cgranudesc.context\nFormalContext\nq\x00)\x81q\x01}q\x02(X\x07\x00\x00"
+        b"\x00objectsq\x03X\x02\x00\x00\x00o1q\x04X\x02\x00\x00\x00o2q\x05\x86q\x06X\n"
+        b"\x00\x00\x00attributesq\x07X\x02\x00\x00\x00a1q\x08\x85q\tX\t\x00\x00\x00"
+        b"incidenceq\n\x88\x85q\x0b\x89\x85q\x0c\x86q\rub."
+    )
+    ctx = pickle.loads(old)
+    assert ctx == FormalContext(("o1", "o2"), ("a1",), ((True,), (False,)))
+    assert ctx.column_masks == (0b01,)
 
 
 def test_cloned_contexts_rebuild_equal_masks(table5) -> None:
@@ -233,7 +273,7 @@ def _record_classes() -> list[type]:
 def test_lazy_fields_are_read_by_attribute(table1, table5) -> None:
     """A field that is also a ``_once`` on its class stays out of the
     instance dict until its first read, so equality, hash, repr and
-    ``__getstate__`` must read it by attribute, never from the dict."""
+    ``__reduce__`` must read it by attribute, never from the dict."""
     unread = {
         Concept: lambda: [*enumerate_formal(table1).concepts, *enumerate_cn(table5)],
     }
@@ -246,7 +286,7 @@ def test_lazy_fields_are_read_by_attribute(table1, table5) -> None:
         "eq": lambda r, eager: r == eager and eager == r,
         "hash": lambda r, eager: hash(r) == hash(eager) == hash(frozen_twin(eager)),
         "repr": lambda r, eager: repr(r) == repr(eager) == repr(frozen_twin(eager)),
-        "getstate": lambda r, eager: r.__getstate__() == eager.__getstate__(),
+        "reduce": lambda r, eager: r.__reduce__()[1] == eager.__reduce__()[1],
     }
     for cls, make in unread.items():
         eager = [cls(*(getattr(r, f) for f in cls._fields)) for r in make()]
